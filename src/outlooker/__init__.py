@@ -35,7 +35,6 @@ from .checks import GRADCHECK_KINDS, ORACLE_KINDS, gradient_check, oracle_check
 from .errors import ContractError, DivergenceError, GeometryError, ShapeError
 from .model import (
     PRESETS,
-    REFERENCE_LAYOUTS,
     REFERENCE_MADDS,
     REFERENCE_PARAMS,
     ModelConfig,
@@ -71,7 +70,7 @@ __all__ = [
     "LAYER_KINDS", "LayerNorm", "LocalAttentionBlock", "LocalSelfAttention",
     "MADD_COUNTER", "MAddCounter", "Mlp", "ModelConfig", "ORACLE_KINDS",
     "OracleCase", "OracleReport", "OutlookAttention", "OutlookerBlock",
-    "PRESETS", "REFERENCE_LAYOUTS", "REFERENCE_MADDS", "REFERENCE_PARAMS",
+    "PRESETS", "REFERENCE_MADDS", "REFERENCE_PARAMS",
     "SelfAttention", "ShapeError", "Tape", "Tensor", "TrainRecord",
     "TransformerBlock", "TwoStageModel", "WindowGeometry", "accuracy",
     "analytic_madds", "backward", "build_layer", "build_model", "count_params",

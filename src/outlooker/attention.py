@@ -10,6 +10,11 @@ Four interchangeable layers over token maps:
 * ``SelfAttention``: full scaled dot-product attention over a flat list.
 * ``Conv2d``: K×K cross-correlation, expressed as unfold + linear.
 
+The two dot-product layers (and the class-attention block) share
+``MultiHeadCore``'s q/k/v/o projections and ``dot_product_attention``; all
+attention layers lay heads out as (..., heads, L, C/heads) via
+``split_heads``/``merge_heads``.
+
 ``madds`` gives the closed-form cost of each layer kind at stride 1;
 ``measured_madds`` runs the instrumented counter, which matches it exactly.
 """
@@ -17,6 +22,7 @@ Four interchangeable layers over token maps:
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +45,59 @@ def _zeros(shape, dtype) -> Tensor:
 def _check_heads(channels: int, heads: int) -> None:
     if heads < 1 or channels % heads != 0:
         raise ShapeError(f"channels {channels} not divisible by heads {heads}")
+
+
+def split_heads(t: Tensor, heads: int) -> Tensor:
+    """(..., L, C) → (..., heads, L, C/heads)."""
+    *lead, length, channels = t.shape
+    n = len(lead)
+    t = ops.reshape(t, (*lead, length, heads, channels // heads))
+    return ops.permute(t, (*range(n), n + 1, n, n + 2))
+
+
+def merge_heads(t: Tensor) -> Tensor:
+    """(..., heads, L, dh) → (..., L, heads·dh); the inverse of ``split_heads``."""
+    *lead, heads, length, dh = t.shape
+    n = len(lead)
+    t = ops.permute(t, (*range(n), n + 1, n, n + 2))
+    return ops.reshape(t, (*lead, length, heads * dh))
+
+
+def dot_product_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+                          mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head softmax(q·kᵀ/√dh [+ mask])·v on projected tokens.
+
+    ``q``: (..., Lq, C); ``k``, ``v``: (..., Lk, C) with the same leading
+    dims.  ``mask`` is an additive array broadcastable to the (..., heads, Lq,
+    Lk) scores; ``-inf`` strikes a key from the softmax.  Returns the heads
+    merged back to (..., Lq, C).
+    """
+    *lead, length, channels = k.shape
+    n = len(lead)
+    dh = channels // heads
+    keys = ops.reshape(k, (*lead, length, heads, dh))
+    keys = ops.permute(keys, (*range(n), n + 1, n + 2, n))          # (..., heads, dh, Lk)
+    scores = ops.scale(ops.matmul(split_heads(q, heads), keys), 1.0 / math.sqrt(dh))
+    if mask is not None:
+        scores = ops.add(scores, Tensor(np.broadcast_to(mask, scores.shape)))
+    attn = ops.softmax(scores, axis=-1)
+    return merge_heads(ops.matmul(attn, split_heads(v, heads)))
+
+
+class MultiHeadCore:
+    """The q/k/v/o projections (C×C, with bias) of the dot-product attention layers."""
+
+    def __init__(self, rng, channels: int, heads: int, dtype=np.float32, std: float = INIT_STD):
+        _check_heads(channels, heads)
+        self.channels = channels
+        self.heads = heads
+        for name in ("q", "k", "v", "o"):
+            setattr(self, f"w_{name}", _param(rng, (channels, channels), std, dtype))
+            setattr(self, f"b_{name}", _zeros(channels, dtype))
+
+    def named_params(self):
+        return [(f"{kind}_{name}", getattr(self, f"{kind}_{name}"))
+                for name in ("q", "k", "v", "o") for kind in ("w", "b")]
 
 
 class OutlookAttention:
@@ -80,16 +139,13 @@ class OutlookAttention:
         """Multi-head window aggregation, before the output projection."""
         if x.ndim != 3 or x.shape[2] != self.channels:
             raise ShapeError(f"expected (H, W, {self.channels}), got {x.shape}")
-        height, width, channels = x.shape
+        height, width, _ = x.shape
         geom = WindowGeometry(height, width, self.kernel, self.stride)
         h, w = geom.out_height, geom.out_width
         k2 = self.kernel * self.kernel
-        heads, cn = self.heads, channels // self.heads
 
         values = ops.linear(x, self.w_v)                      # (H, W, C)
-        stack = unfold(values, geom)                          # (h·w, K², C)
-        stack = ops.reshape(stack, (h * w, k2, heads, cn))
-        stack = ops.permute(stack, (2, 0, 1, 3))              # (heads, h·w, K², cn)
+        stack = split_heads(unfold(values, geom), self.heads)  # (h·w, heads, K², cn)
 
         pooled = ops.avg_pool(x, self.stride)                 # identity at stride 1
         if pooled.shape[0] != h or pooled.shape[1] != w:
@@ -98,13 +154,8 @@ class OutlookAttention:
                 f"window grid {h}x{w}; use the default padding"
             )
         logits = ops.linear(pooled, self.w_a, self.b_a)       # (h, w, heads·K⁴)
-        logits = ops.reshape(logits, (h * w, heads, k2, k2))
-        logits = ops.permute(logits, (1, 0, 2, 3))            # (heads, h·w, K², K²)
-        attn = ops.softmax(logits, axis=-1)
-
-        mixed = ops.matmul(attn, stack)                       # (heads, h·w, K², cn)
-        mixed = ops.permute(mixed, (1, 2, 0, 3))
-        mixed = ops.reshape(mixed, (h * w, k2, channels))
+        attn = ops.softmax(ops.reshape(logits, (h * w, self.heads, k2, k2)), axis=-1)
+        mixed = merge_heads(ops.matmul(attn, stack))          # (h·w, K², C)
         return fold(mixed, geom)                              # (H, W, C)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -113,99 +164,52 @@ class OutlookAttention:
     __call__ = forward
 
 
-class LocalSelfAttention:
+class LocalSelfAttention(MultiHeadCore):
     """Dot-product attention restricted to each token's K×K neighborhood."""
 
     kind = "lsa"
 
     def __init__(self, rng, channels: int, heads: int, kernel: int = 3,
                  dtype=np.float32, std: float = INIT_STD):
-        _check_heads(channels, heads)
+        super().__init__(rng, channels, heads, dtype, std)
         if kernel < 1 or kernel % 2 == 0:
             raise GeometryError(f"kernel must be odd and positive, got K={kernel}")
-        self.channels = channels
-        self.heads = heads
         self.kernel = kernel
         self.stride = 1
-        for name in ("q", "k", "v", "o"):
-            setattr(self, f"w_{name}", _param(rng, (channels, channels), std, dtype))
-            setattr(self, f"b_{name}", _zeros(channels, dtype))
-
-    def named_params(self):
-        return [(f"{kind}_{name}", getattr(self, f"{kind}_{name}"))
-                for name in ("q", "k", "v", "o") for kind in ("w", "b")]
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[2] != self.channels:
             raise ShapeError(f"expected (H, W, {self.channels}), got {x.shape}")
         height, width, channels = x.shape
         geom = WindowGeometry(height, width, self.kernel)
-        hw = height * width
-        k2 = self.kernel * self.kernel
-        heads, dh = self.heads, channels // self.heads
 
         q = ops.linear(x, self.w_q, self.b_q)
         k = ops.linear(x, self.w_k, self.b_k)
         v = ops.linear(x, self.w_v, self.b_v)
-
-        def to_heads(stack: Tensor) -> Tensor:
-            stack = ops.reshape(stack, (hw, k2, heads, dh))
-            return ops.permute(stack, (2, 0, 1, 3))           # (heads, hw, K², dh)
-
-        keys = to_heads(unfold(k, geom))
-        vals = to_heads(unfold(v, geom))
-        queries = ops.permute(ops.reshape(q, (hw, heads, dh)), (1, 0, 2))
-        queries = ops.reshape(queries, (heads, hw, 1, dh))
-
-        scores = ops.matmul(queries, ops.permute(keys, (0, 1, 3, 2)))  # (heads, hw, 1, K²)
-        scores = ops.scale(scores, 1.0 / math.sqrt(dh))
-        # padded neighbors are struck from the softmax entirely
+        # each token is a one-query list over its K² neighbors; padded
+        # neighbors are struck from the softmax entirely
         neg = np.where(in_bounds_mask(geom), 0.0, -np.inf).astype(x.data.dtype)
-        mask = Tensor(np.broadcast_to(neg[None, :, None, :], scores.shape).copy())
-        attn = ops.softmax(ops.add(scores, mask), axis=-1)
-
-        out = ops.matmul(attn, vals)                          # (heads, hw, 1, dh)
-        out = ops.permute(out, (1, 2, 0, 3))
+        out = dot_product_attention(ops.reshape(q, (height * width, 1, channels)),
+                                    unfold(k, geom), unfold(v, geom), self.heads,
+                                    mask=neg[:, None, None, :])   # (hw, 1, C)
         out = ops.reshape(out, (height, width, channels))
         return ops.linear(out, self.w_o, self.b_o)
 
     __call__ = forward
 
 
-class SelfAttention:
+class SelfAttention(MultiHeadCore):
     """Scaled dot-product attention over a flat (L, C) token list."""
 
     kind = "sa"
 
-    def __init__(self, rng, channels: int, heads: int, dtype=np.float32, std: float = INIT_STD):
-        _check_heads(channels, heads)
-        self.channels = channels
-        self.heads = heads
-        for name in ("q", "k", "v", "o"):
-            setattr(self, f"w_{name}", _param(rng, (channels, channels), std, dtype))
-            setattr(self, f"b_{name}", _zeros(channels, dtype))
-
-    def named_params(self):
-        return [(f"{kind}_{name}", getattr(self, f"{kind}_{name}"))
-                for name in ("q", "k", "v", "o") for kind in ("w", "b")]
-
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.channels:
             raise ShapeError(f"expected (L, {self.channels}), got {x.shape}")
-        length, channels = x.shape
-        heads, dh = self.heads, channels // self.heads
-
-        def to_heads(t: Tensor) -> Tensor:
-            return ops.permute(ops.reshape(t, (length, heads, dh)), (1, 0, 2))
-
-        q = to_heads(ops.linear(x, self.w_q, self.b_q))       # (heads, L, dh)
-        k = to_heads(ops.linear(x, self.w_k, self.b_k))
-        v = to_heads(ops.linear(x, self.w_v, self.b_v))
-
-        scores = ops.matmul(q, ops.permute(k, (0, 2, 1)))     # (heads, L, L)
-        attn = ops.softmax(ops.scale(scores, 1.0 / math.sqrt(dh)), axis=-1)
-        out = ops.matmul(attn, v)                             # (heads, L, dh)
-        out = ops.reshape(ops.permute(out, (1, 0, 2)), (length, channels))
+        q = ops.linear(x, self.w_q, self.b_q)
+        k = ops.linear(x, self.w_k, self.b_k)
+        v = ops.linear(x, self.w_v, self.b_v)
+        out = dot_product_attention(q, k, v, self.heads)
         return ops.linear(out, self.w_o, self.b_o)
 
     __call__ = forward
@@ -248,8 +252,6 @@ class Conv2d:
 # ---------------------------------------------------------------------------
 # analytic cost model
 
-from dataclasses import dataclass
-
 
 @dataclass(frozen=True)
 class CostQuery:
@@ -268,6 +270,16 @@ class CostQuery:
 
 
 LAYER_KINDS = ("oa", "lsa", "sa", "conv")
+
+
+def _oa_madds(tokens: int, windows: int, c: int, heads: int, k: int) -> int:
+    """Outlook attention over ``tokens`` positions with ``windows`` window centers.
+
+    Value and output projections over every token, the logit projection and
+    the K⁴·C window aggregation once per window (windows == tokens at stride 1).
+    """
+    k4 = k ** 4
+    return 2 * tokens * c * c + windows * c * heads * k4 + windows * k4 * c
 
 
 def madds(query: CostQuery, kind: str) -> int:
@@ -291,7 +303,7 @@ def madds(query: CostQuery, kind: str) -> int:
     if kind == "lsa":
         return 4 * hw * c * c + 2 * hw * k2 * c
     if kind == "oa":
-        return hw * c * (2 * c + query.heads * k2 * k2) + hw * k2 * k2 * c
+        return _oa_madds(hw, hw, c, query.heads, query.kernel)
     if kind == "conv":
         return hw * k2 * c * c
     raise ShapeError(f"unknown layer kind {kind!r}; expected one of {LAYER_KINDS}")

@@ -8,12 +8,11 @@ inference, where dropping is disabled entirely.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import ops
-from .attention import Conv2d, LocalSelfAttention, OutlookAttention, SelfAttention, _param, _zeros
+from .attention import (Conv2d, LocalSelfAttention, MultiHeadCore, OutlookAttention,
+                        SelfAttention, _param, _zeros, dot_product_attention)
 from .errors import ContractError, ShapeError
 from .tensor import Tensor
 
@@ -154,7 +153,7 @@ class TransformerBlock(_ResidualBlock):
         super().__init__(mixer, rng, channels, mlp_ratio, drop_path, dtype, std)
 
 
-class ClassAttentionBlock:
+class ClassAttentionBlock(MultiHeadCore):
     """Updates the class token by attending over [class ∥ patch] tokens.
 
     Only the class token forms a query; patch tokens pass through unchanged.
@@ -163,21 +162,13 @@ class ClassAttentionBlock:
 
     def __init__(self, rng, channels: int, heads: int, mlp_ratio: float = 3.0,
                  dtype=np.float32, std: float = INIT_STD):
-        if heads < 1 or channels % heads != 0:
-            raise ShapeError(f"channels {channels} not divisible by heads {heads}")
-        self.channels = channels
-        self.heads = heads
         self.norm1 = LayerNorm(channels, dtype=dtype)
-        for name in ("q", "k", "v", "o"):
-            setattr(self, f"w_{name}", _param(rng, (channels, channels), std, dtype))
-            setattr(self, f"b_{name}", _zeros(channels, dtype))
+        super().__init__(rng, channels, heads, dtype, std)
         self.norm2 = LayerNorm(channels, dtype=dtype)
         self.mlp = Mlp(rng, channels, mlp_ratio, dtype=dtype, std=std)
 
     def named_params(self):
-        own = [(f"{kind}_{name}", getattr(self, f"{kind}_{name}"))
-               for name in ("q", "k", "v", "o") for kind in ("w", "b")]
-        return _child_params([("norm1", self.norm1)]) + own + _child_params(
+        return _child_params([("norm1", self.norm1)]) + super().named_params() + _child_params(
             [("norm2", self.norm2), ("mlp", self.mlp)]
         )
 
@@ -186,23 +177,12 @@ class ClassAttentionBlock:
             raise ShapeError(f"expected class token (1, {self.channels}), got {cls_token.shape}")
         if patches.ndim != 2 or patches.shape[1] != self.channels:
             raise ShapeError(f"expected patches (L, {self.channels}), got {patches.shape}")
-        length = patches.shape[0] + 1
-        heads, dh = self.heads, self.channels // self.heads
-
-        full = ops.concat([cls_token, patches], axis=0)       # (L+1, C)
-        u = self.norm1(full)
-        q = ops.linear(ops.narrow(u, 0, 0, 1), self.w_q, self.b_q)
-        q = ops.permute(ops.reshape(q, (1, heads, dh)), (1, 0, 2))        # (heads, 1, dh)
-        k = ops.permute(ops.reshape(ops.linear(u, self.w_k, self.b_k), (length, heads, dh)), (1, 0, 2))
-        v = ops.permute(ops.reshape(ops.linear(u, self.w_v, self.b_v), (length, heads, dh)), (1, 0, 2))
-
-        scores = ops.matmul(q, ops.permute(k, (0, 2, 1)))     # (heads, 1, L+1)
-        attn = ops.softmax(ops.scale(scores, 1.0 / math.sqrt(dh)), axis=-1)
-        out = ops.matmul(attn, v)                             # (heads, 1, dh)
-        out = ops.reshape(ops.permute(out, (1, 0, 2)), (1, self.channels))
-        out = ops.linear(out, self.w_o, self.b_o)
-
-        cls = ops.add(cls_token, out)
+        u = self.norm1(ops.concat([cls_token, patches], axis=0))     # (L+1, C)
+        q = ops.linear(ops.narrow(u, 0, 0, 1), self.w_q, self.b_q)    # (1, C)
+        k = ops.linear(u, self.w_k, self.b_k)
+        v = ops.linear(u, self.w_v, self.b_v)
+        out = dot_product_attention(q, k, v, self.heads)             # (1, C)
+        cls = ops.add(cls_token, ops.linear(out, self.w_o, self.b_o))
         return ops.add(cls, self.mlp(self.norm2(cls)))
 
     __call__ = forward

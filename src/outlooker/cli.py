@@ -283,3 +283,7 @@ def gen_data(out_path: str, classes: int, size: int, per_class: int,
     np.savez(out_path, images=images, labels=labels)
     click.echo(f"wrote {images.shape[0]} images ({size}x{size}x3, "
                f"{classes} classes) to {out_path}")
+
+
+if __name__ == "__main__":
+    main()

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import ops
-from .attention import Conv2d, _param, _zeros
+from .attention import Conv2d, CostQuery, _oa_madds, _param, _zeros, madds
 from .blocks import (
     ClassAttentionBlock,
     ConvBlock,
@@ -107,57 +107,30 @@ class ModelConfig:
         return cls(**raw)
 
 
-def _preset(**kw) -> ModelConfig:
-    return ModelConfig(**kw)
-
-
 PRESETS: dict[str, ModelConfig] = {
-    "d1": _preset(stage1_dim=192, stage2_dim=384, num_outlookers=4, num_transformers=14,
-                  outlooker_heads=6, transformer_heads=12, outlooker_mlp_ratio=3.0,
-                  transformer_mlp_ratio=3.0, drop_path_rate=0.1),
-    "d2": _preset(stage1_dim=256, stage2_dim=512, num_outlookers=6, num_transformers=18,
-                  outlooker_heads=8, transformer_heads=16, outlooker_mlp_ratio=3.0,
-                  transformer_mlp_ratio=3.0, drop_path_rate=0.2),
-    "d3": _preset(stage1_dim=256, stage2_dim=512, num_outlookers=8, num_transformers=28,
-                  outlooker_heads=8, transformer_heads=16, outlooker_mlp_ratio=3.0,
-                  transformer_mlp_ratio=3.0, drop_path_rate=0.5),
-    "d4": _preset(stage1_dim=384, stage2_dim=768, num_outlookers=8, num_transformers=28,
-                  outlooker_heads=12, transformer_heads=16, outlooker_mlp_ratio=3.0,
-                  transformer_mlp_ratio=3.0, drop_path_rate=0.5),
-    "d5": _preset(stage1_dim=384, stage2_dim=768, num_outlookers=12, num_transformers=36,
-                  outlooker_heads=12, transformer_heads=16, outlooker_mlp_ratio=4.0,
-                  transformer_mlp_ratio=4.0, drop_path_rate=0.75),
-    "tiny": _preset(image_size=32, num_classes=10, stage1_dim=16, stage2_dim=32,
-                    num_outlookers=2, num_transformers=2, outlooker_heads=2,
-                    transformer_heads=4, outlooker_mlp_ratio=3.0, transformer_mlp_ratio=3.0,
-                    drop_path_rate=0.1),
+    "d1": ModelConfig(stage1_dim=192, stage2_dim=384, num_outlookers=4, num_transformers=14,
+                      outlooker_heads=6, transformer_heads=12, outlooker_mlp_ratio=3.0,
+                      transformer_mlp_ratio=3.0, drop_path_rate=0.1),
+    "d2": ModelConfig(stage1_dim=256, stage2_dim=512, num_outlookers=6, num_transformers=18,
+                      outlooker_heads=8, transformer_heads=16, outlooker_mlp_ratio=3.0,
+                      transformer_mlp_ratio=3.0, drop_path_rate=0.2),
+    "d3": ModelConfig(stage1_dim=256, stage2_dim=512, num_outlookers=8, num_transformers=28,
+                      outlooker_heads=8, transformer_heads=16, outlooker_mlp_ratio=3.0,
+                      transformer_mlp_ratio=3.0, drop_path_rate=0.5),
+    "d4": ModelConfig(stage1_dim=384, stage2_dim=768, num_outlookers=8, num_transformers=28,
+                      outlooker_heads=12, transformer_heads=16, outlooker_mlp_ratio=3.0,
+                      transformer_mlp_ratio=3.0, drop_path_rate=0.5),
+    "d5": ModelConfig(stage1_dim=384, stage2_dim=768, num_outlookers=12, num_transformers=36,
+                      outlooker_heads=12, transformer_heads=16, outlooker_mlp_ratio=4.0,
+                      transformer_mlp_ratio=4.0, drop_path_rate=0.75),
+    "tiny": ModelConfig(image_size=32, num_classes=10, stage1_dim=16, stage2_dim=32,
+                        num_outlookers=2, num_transformers=2, outlooker_heads=2,
+                        transformer_heads=4, outlooker_mlp_ratio=3.0, transformer_mlp_ratio=3.0,
+                        drop_path_rate=0.1),
 }
 
-# Reference layout and budget targets for the d-presets.  Structure cells are
-# asserted exactly; parameter counts within ±2%; multiply-adds at 224² within
-# ±10% (d1, d2) and ±15% (d3-d5).
-REFERENCE_LAYOUTS: dict[str, dict] = {
-    "d1": dict(num_outlookers=4, num_transformers=14, total_layers=18,
-               stage1_dim=192, stage2_dim=384, outlooker_heads=6, transformer_heads=12,
-               kernel=3, stride=2, outlooker_mlp_ratio=3.0, transformer_mlp_ratio=3.0,
-               drop_path_rate=0.1),
-    "d2": dict(num_outlookers=6, num_transformers=18, total_layers=24,
-               stage1_dim=256, stage2_dim=512, outlooker_heads=8, transformer_heads=16,
-               kernel=3, stride=2, outlooker_mlp_ratio=3.0, transformer_mlp_ratio=3.0,
-               drop_path_rate=0.2),
-    "d3": dict(num_outlookers=8, num_transformers=28, total_layers=36,
-               stage1_dim=256, stage2_dim=512, outlooker_heads=8, transformer_heads=16,
-               kernel=3, stride=2, outlooker_mlp_ratio=3.0, transformer_mlp_ratio=3.0,
-               drop_path_rate=0.5),
-    "d4": dict(num_outlookers=8, num_transformers=28, total_layers=36,
-               stage1_dim=384, stage2_dim=768, outlooker_heads=12, transformer_heads=16,
-               kernel=3, stride=2, outlooker_mlp_ratio=3.0, transformer_mlp_ratio=3.0,
-               drop_path_rate=0.5),
-    "d5": dict(num_outlookers=12, num_transformers=36, total_layers=48,
-               stage1_dim=384, stage2_dim=768, outlooker_heads=12, transformer_heads=16,
-               kernel=3, stride=2, outlooker_mlp_ratio=4.0, transformer_mlp_ratio=4.0,
-               drop_path_rate=0.75),
-}
+# Published budgets for the d-presets: parameter counts within ±2%; multiply-adds
+# at 224² within ±10% (d1, d2) and ±15% (d3-d5).
 REFERENCE_PARAMS = {"d1": 26.6e6, "d2": 58.7e6, "d3": 86.3e6, "d4": 193e6, "d5": 296e6}
 REFERENCE_MADDS = {"d1": 6.8e9, "d2": 14.1e9, "d3": 20.6e9, "d4": 43.8e9, "d5": 69.0e9}
 
@@ -356,10 +329,11 @@ def analytic_madds(config: ModelConfig, resolution: int | None = None) -> int:
     """Closed-form multiply-adds of one forward pass at a given resolution.
 
     Counts every matmul/linear sweep: stem convs and projection, stage-1
-    mixers (outlook attention uses the per-layer closed form with a
-    stride-adjusted window count), MLPs, downsample, transformer attention,
-    class-attention blocks, and head.  Softmax/norm work is excluded, exactly
-    as in the instrumented counter.
+    mixers, MLPs, downsample, transformer attention, class-attention blocks,
+    and head.  The mixers and transformer attention are the per-layer closed
+    forms of ``attention.madds`` (outlook attention at its stride-adjusted
+    window count).  Softmax/norm work is excluded, exactly as in the
+    instrumented counter.
     """
     size = config.image_size if resolution is None else int(resolution)
     if size % 16 != 0:
@@ -368,7 +342,6 @@ def analytic_madds(config: ModelConfig, resolution: int | None = None) -> int:
     g2 = g1 // config.downsample
     hw1, length = g1 * g1, g2 * g2
     c1, c2, k = config.stage1_dim, config.stage2_dim, config.kernel
-    k2 = k * k
 
     half = size // 2
     stem = (half * half * (49 * 3) * STEM_HIDDEN
@@ -377,18 +350,16 @@ def analytic_madds(config: ModelConfig, resolution: int | None = None) -> int:
 
     if config.stage1_kind == "outlook":
         wins = ((g1 + 2 * (k // 2) - k) // config.stride + 1) ** 2
-        mixer = hw1 * 2 * c1 * c1 + wins * c1 * config.outlooker_heads * k2 * k2 + wins * k2 * k2 * c1
-    elif config.stage1_kind == "lsa":
-        mixer = 4 * hw1 * c1 * c1 + 2 * hw1 * k2 * c1
+        mixer = _oa_madds(hw1, wins, c1, config.outlooker_heads, k)
     else:
-        mixer = hw1 * k2 * c1 * c1
+        mixer = madds(CostQuery(g1, g1, c1, k, config.outlooker_heads), config.stage1_kind)
     h1 = mlp_hidden(c1, config.outlooker_mlp_ratio)
     stage1 = config.num_outlookers * (mixer + 2 * hw1 * c1 * h1)
 
     down = length * (config.downsample ** 2 * c1) * c2
 
     h2 = mlp_hidden(c2, config.transformer_mlp_ratio)
-    sa = 4 * length * c2 * c2 + 2 * length * length * c2
+    sa = madds(CostQuery(length, 1, c2), "sa")
     stage2 = config.num_transformers * (sa + 2 * length * c2 * h2)
 
     ca = (2 + 2 * (length + 1)) * c2 * c2 + 2 * c2 * (length + 1) + 2 * c2 * h2

@@ -19,6 +19,7 @@ from outlooker import (
     measured_madds,
     ops,
 )
+from outlooker.attention import merge_heads, split_heads
 from outlooker.errors import GeometryError, ShapeError
 
 
@@ -112,6 +113,16 @@ class TestStrideTwo:
         layer = OutlookAttention(np.random.default_rng(6), 4, 2, 3, stride=3)
         x = Tensor(rng.standard_normal((9, 8, 4)).astype(np.float32))
         assert layer.forward(x).shape == (9, 8, 4)
+
+
+class TestHeadLayout:
+    def test_split_puts_channel_slices_on_a_head_axis(self, rng):
+        x = Tensor(rng.standard_normal((5, 4, 6)))                # (..., L, C)
+        heads = split_heads(x, 3)
+        assert heads.shape == (5, 3, 4, 2)
+        for n in range(3):
+            np.testing.assert_array_equal(heads.data[:, n], x.data[..., 2 * n:2 * n + 2])
+        np.testing.assert_array_equal(merge_heads(heads).data, x.data)
 
 
 class TestLocalAttentionMask:

@@ -18,6 +18,7 @@ from outlooker import (
     stochastic_depth_mask,
 )
 from outlooker.errors import ContractError, ShapeError
+from outlooker.oracle import oracle_self_attention, relative_error
 
 
 class TestMlpSizing:
@@ -127,6 +128,22 @@ class TestClassAttention:
         out1 = block.forward(cls_token, Tensor(patches, dtype=np.float64)).data
         out2 = block.forward(cls_token, Tensor(patches[::-1].copy(), dtype=np.float64)).data
         np.testing.assert_allclose(out1, out2, atol=1e-12)
+
+    def test_matches_loop_reference_float64(self, rng):
+        # the class token's row of full self-attention over [cls; patches],
+        # then the block's MLP residual; random biases and norm affines so
+        # every parameter reaches the output
+        block = ClassAttentionBlock(np.random.default_rng(0), 8, 2, 3.0, dtype=np.float64)
+        for _, p in block.named_params():
+            p.data[...] = rng.standard_normal(p.shape) * 0.5
+        cls_token = Tensor(rng.standard_normal((1, 8)), dtype=np.float64)
+        patches = Tensor(rng.standard_normal((9, 8)), dtype=np.float64)
+        got = block.forward(cls_token, patches).data
+
+        tokens = block.norm1(ops.concat([cls_token, patches], axis=0)).data
+        cls = Tensor(cls_token.data + oracle_self_attention(tokens, block)[:1], dtype=np.float64)
+        want = ops.add(cls, block.mlp(block.norm2(cls))).data
+        assert relative_error(got, want) <= 1e-6
 
     def test_shape_contract(self, rng):
         block = ClassAttentionBlock(np.random.default_rng(0), 8, 2, 3.0)

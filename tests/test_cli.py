@@ -3,11 +3,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import outlooker
 from outlooker import PRESETS, count_params_config
 from outlooker.cli import main
 
@@ -109,3 +114,15 @@ class TestGenData:
         blob = np.load(out)
         assert blob["images"].shape == (6, 16, 16, 3)
         assert blob["labels"].shape == (6,)
+
+
+class TestModuleEntry:
+    def test_python_m_runs_the_cli(self):
+        # ``python -m outlooker.cli`` must reach main(), not import and exit
+        src = str(Path(outlooker.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-m", "outlooker.cli", "--version"],
+                                capture_output=True, text=True, timeout=60,
+                                env={**os.environ, "PYTHONPATH": path})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().endswith("0.1.0")

@@ -9,7 +9,6 @@ import pytest
 from outlooker import (
     MADD_COUNTER,
     PRESETS,
-    REFERENCE_LAYOUTS,
     ModelConfig,
     Tape,
     Tensor,
@@ -56,12 +55,6 @@ class TestModelConfig:
 
 
 class TestPresets:
-    @pytest.mark.parametrize("name", ["d1", "d2", "d3", "d4", "d5"])
-    def test_layout_matches_reference_table(self, name):
-        config, want = PRESETS[name], REFERENCE_LAYOUTS[name]
-        for key, value in want.items():
-            assert getattr(config, key) == value, f"{name}.{key}"
-
     def test_total_layer_progression(self):
         got = tuple(PRESETS[n].total_layers for n in ("d1", "d2", "d3", "d4", "d5"))
         assert got == (18, 24, 36, 36, 48)
@@ -91,10 +84,11 @@ class TestAnalyticMadds:
         # C=192 × (3⁴−3²) = 10_838_016; equals the counted d1 forward at 224²
         assert analytic_madds(PRESETS["d1"], 224) == 6_843_477_504
 
-    def test_equals_counted_tiny_forward(self):
+    @pytest.mark.parametrize("stage1_kind", ["outlook", "lsa", "conv"])
+    def test_equals_counted_tiny_forward(self, stage1_kind):
         # the tiny preset runs outlook attention at stride 2, so this also
         # checks the closed form's stride-adjusted window count
-        config = PRESETS["tiny"]
+        config = dataclasses.replace(PRESETS["tiny"], stage1_kind=stage1_kind)
         model = build_model(config, seed=0)
         images = np.random.default_rng(1).standard_normal(
             (1, config.image_size, config.image_size, 3))
