@@ -1,6 +1,8 @@
 """Token-mixing layers and the closed-form multiply-add model.
 
-Four interchangeable layers over token maps:
+Four interchangeable layers over token maps.  Every layer accepts leading
+(batch) axes before its (H, W, C) map or (L, C) list; an unbatched input is
+the same code with no leading axes.
 
 * ``OutlookAttention``: each window's K²×K² mixing weights are *predicted*
   by a linear map from the window's (pooled) center token, softmaxed over the
@@ -137,26 +139,26 @@ class OutlookAttention:
 
     def attend(self, x: Tensor) -> Tensor:
         """Multi-head window aggregation, before the output projection."""
-        if x.ndim != 3 or x.shape[2] != self.channels:
-            raise ShapeError(f"expected (H, W, {self.channels}), got {x.shape}")
-        height, width, _ = x.shape
+        if x.ndim < 3 or x.shape[-1] != self.channels:
+            raise ShapeError(f"expected (..., H, W, {self.channels}), got {x.shape}")
+        *lead, height, width, _ = x.shape
         geom = WindowGeometry(height, width, self.kernel, self.stride)
         h, w = geom.out_height, geom.out_width
         k2 = self.kernel * self.kernel
 
-        values = ops.linear(x, self.w_v)                      # (H, W, C)
-        stack = split_heads(unfold(values, geom), self.heads)  # (h·w, heads, K², cn)
+        values = ops.linear(x, self.w_v)                      # (..., H, W, C)
+        stack = split_heads(unfold(values, geom), self.heads)  # (..., h·w, heads, K², cn)
 
         pooled = ops.avg_pool(x, self.stride)                 # identity at stride 1
-        if pooled.shape[0] != h or pooled.shape[1] != w:
+        if pooled.shape[-3:-1] != (h, w):
             raise GeometryError(
-                f"pooled grid {pooled.shape[0]}x{pooled.shape[1]} does not match "
+                f"pooled grid {pooled.shape[-3]}x{pooled.shape[-2]} does not match "
                 f"window grid {h}x{w}; use the default padding"
             )
-        logits = ops.linear(pooled, self.w_a, self.b_a)       # (h, w, heads·K⁴)
-        attn = ops.softmax(ops.reshape(logits, (h * w, self.heads, k2, k2)), axis=-1)
-        mixed = merge_heads(ops.matmul(attn, stack))          # (h·w, K², C)
-        return fold(mixed, geom)                              # (H, W, C)
+        logits = ops.linear(pooled, self.w_a, self.b_a)       # (..., h, w, heads·K⁴)
+        attn = ops.softmax(ops.reshape(logits, (*lead, h * w, self.heads, k2, k2)), axis=-1)
+        mixed = merge_heads(ops.matmul(attn, stack))          # (..., h·w, K², C)
+        return fold(mixed, geom)                              # (..., H, W, C)
 
     def forward(self, x: Tensor) -> Tensor:
         return ops.linear(self.attend(x), self.w_o, self.b_o)
@@ -178,9 +180,9 @@ class LocalSelfAttention(MultiHeadCore):
         self.stride = 1
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 3 or x.shape[2] != self.channels:
-            raise ShapeError(f"expected (H, W, {self.channels}), got {x.shape}")
-        height, width, channels = x.shape
+        if x.ndim < 3 or x.shape[-1] != self.channels:
+            raise ShapeError(f"expected (..., H, W, {self.channels}), got {x.shape}")
+        *lead, height, width, channels = x.shape
         geom = WindowGeometry(height, width, self.kernel)
 
         q = ops.linear(x, self.w_q, self.b_q)
@@ -189,23 +191,23 @@ class LocalSelfAttention(MultiHeadCore):
         # each token is a one-query list over its K² neighbors; padded
         # neighbors are struck from the softmax entirely
         neg = np.where(in_bounds_mask(geom), 0.0, -np.inf).astype(x.data.dtype)
-        out = dot_product_attention(ops.reshape(q, (height * width, 1, channels)),
+        out = dot_product_attention(ops.reshape(q, (*lead, height * width, 1, channels)),
                                     unfold(k, geom), unfold(v, geom), self.heads,
-                                    mask=neg[:, None, None, :])   # (hw, 1, C)
-        out = ops.reshape(out, (height, width, channels))
+                                    mask=neg[:, None, None, :])   # (..., hw, 1, C)
+        out = ops.reshape(out, (*lead, height, width, channels))
         return ops.linear(out, self.w_o, self.b_o)
 
     __call__ = forward
 
 
 class SelfAttention(MultiHeadCore):
-    """Scaled dot-product attention over a flat (L, C) token list."""
+    """Scaled dot-product attention over a flat (..., L, C) token list."""
 
     kind = "sa"
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 2 or x.shape[1] != self.channels:
-            raise ShapeError(f"expected (L, {self.channels}), got {x.shape}")
+        if x.ndim < 2 or x.shape[-1] != self.channels:
+            raise ShapeError(f"expected (..., L, {self.channels}), got {x.shape}")
         q = ops.linear(x, self.w_q, self.b_q)
         k = ops.linear(x, self.w_k, self.b_k)
         v = ops.linear(x, self.w_v, self.b_v)
@@ -235,16 +237,16 @@ class Conv2d:
         return [("weight", self.weight), ("bias", self.bias)]
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 3 or x.shape[2] != self.cin:
-            raise ShapeError(f"expected (H, W, {self.cin}), got {x.shape}")
-        height, width, _ = x.shape
+        if x.ndim < 3 or x.shape[-1] != self.cin:
+            raise ShapeError(f"expected (..., H, W, {self.cin}), got {x.shape}")
+        *lead, height, width, _ = x.shape
         geom = WindowGeometry(height, width, self.kernel, self.stride)
         k2 = self.kernel * self.kernel
-        stack = unfold(x, geom)                               # (h·w, K², Cin)
-        flat = ops.reshape(stack, (geom.windows, k2 * self.cin))
+        stack = unfold(x, geom)                               # (..., h·w, K², Cin)
+        flat = ops.reshape(stack, (*lead, geom.windows, k2 * self.cin))
         wmat = ops.reshape(self.weight, (k2 * self.cin, self.cout))
         out = ops.linear(flat, wmat, self.bias)
-        return ops.reshape(out, (geom.out_height, geom.out_width, self.cout))
+        return ops.reshape(out, (*lead, geom.out_height, geom.out_width, self.cout))
 
     __call__ = forward
 

@@ -1,9 +1,10 @@
 """Residual blocks: pre-norm token mixing + MLP, and stochastic depth.
 
-Every block computes ``x + mix(norm(x))`` followed by ``y + mlp(norm(y))``.
-During training each residual branch can be dropped per sample (stochastic
-depth): a kept branch is scaled by 1/(1-rate) so the expectation matches
-inference, where dropping is disabled entirely.
+Every block computes ``x + mix(norm(x))`` followed by ``y + mlp(norm(y))``
+on inputs with any leading (batch) axes.  During training each residual
+branch can be dropped per sample (stochastic depth), and axis 0 of a block's
+input is the sample axis: a kept branch is scaled by 1/(1-rate) so the
+expectation matches inference, where dropping is disabled entirely.
 """
 
 from __future__ import annotations
@@ -104,8 +105,8 @@ class _ResidualBlock:
             return t
         if rng is None:
             raise ContractError("training forward with drop_path > 0 needs an rng")
-        factor = float(stochastic_depth_mask(self.drop_path, 1, rng)[0])
-        return ops.scale(t, factor)
+        mask = stochastic_depth_mask(self.drop_path, t.shape[0], rng)
+        return ops.scale(t, mask.astype(t.dtype).reshape((-1,) + (1,) * (t.ndim - 1)))
 
     def forward(self, x: Tensor, training: bool = False, rng=None) -> Tensor:
         y = ops.add(x, self._branch(self.mixer(self.norm1(x)), training, rng))
@@ -115,7 +116,7 @@ class _ResidualBlock:
 
 
 class OutlookerBlock(_ResidualBlock):
-    """Outlook attention + MLP residual pair on an (H, W, C) map."""
+    """Outlook attention + MLP residual pair on a (..., H, W, C) map."""
 
     def __init__(self, rng, channels: int, heads: int, kernel: int = 3, stride: int = 1,
                  mlp_ratio: float = 3.0, drop_path: float = 0.0,
@@ -125,7 +126,7 @@ class OutlookerBlock(_ResidualBlock):
 
 
 class LocalAttentionBlock(_ResidualBlock):
-    """Neighborhood self-attention + MLP residual pair on an (H, W, C) map."""
+    """Neighborhood self-attention + MLP residual pair on a (..., H, W, C) map."""
 
     def __init__(self, rng, channels: int, heads: int, kernel: int = 3,
                  mlp_ratio: float = 3.0, drop_path: float = 0.0,
@@ -135,7 +136,7 @@ class LocalAttentionBlock(_ResidualBlock):
 
 
 class ConvBlock(_ResidualBlock):
-    """Same-width convolution + MLP residual pair on an (H, W, C) map."""
+    """Same-width convolution + MLP residual pair on a (..., H, W, C) map."""
 
     def __init__(self, rng, channels: int, kernel: int = 3,
                  mlp_ratio: float = 3.0, drop_path: float = 0.0,
@@ -145,7 +146,7 @@ class ConvBlock(_ResidualBlock):
 
 
 class TransformerBlock(_ResidualBlock):
-    """Full self-attention + MLP residual pair on an (L, C) token list."""
+    """Full self-attention + MLP residual pair on a (..., L, C) token list."""
 
     def __init__(self, rng, channels: int, heads: int, mlp_ratio: float = 3.0,
                  drop_path: float = 0.0, dtype=np.float32, std: float = INIT_STD):
@@ -158,6 +159,7 @@ class ClassAttentionBlock(MultiHeadCore):
 
     Only the class token forms a query; patch tokens pass through unchanged.
     The class token takes the attention residual, then its own MLP residual.
+    Class token (..., 1, C) and patches (..., L, C) share their leading axes.
     """
 
     def __init__(self, rng, channels: int, heads: int, mlp_ratio: float = 3.0,
@@ -173,15 +175,19 @@ class ClassAttentionBlock(MultiHeadCore):
         )
 
     def forward(self, cls_token: Tensor, patches: Tensor) -> Tensor:
-        if cls_token.shape != (1, self.channels):
-            raise ShapeError(f"expected class token (1, {self.channels}), got {cls_token.shape}")
-        if patches.ndim != 2 or patches.shape[1] != self.channels:
-            raise ShapeError(f"expected patches (L, {self.channels}), got {patches.shape}")
-        u = self.norm1(ops.concat([cls_token, patches], axis=0))     # (L+1, C)
-        q = ops.linear(ops.narrow(u, 0, 0, 1), self.w_q, self.b_q)    # (1, C)
+        if cls_token.ndim < 2 or cls_token.shape[-2:] != (1, self.channels):
+            raise ShapeError(
+                f"expected class token (..., 1, {self.channels}), got {cls_token.shape}")
+        if (patches.ndim != cls_token.ndim or patches.shape[:-2] != cls_token.shape[:-2]
+                or patches.shape[-1] != self.channels):
+            raise ShapeError(f"expected patches (..., L, {self.channels}) with leading axes "
+                             f"{cls_token.shape[:-2]}, got {patches.shape}")
+        axis = cls_token.ndim - 2
+        u = self.norm1(ops.concat([cls_token, patches], axis=axis))     # (..., L+1, C)
+        q = ops.linear(ops.narrow(u, axis, 0, 1), self.w_q, self.b_q)    # (..., 1, C)
         k = ops.linear(u, self.w_k, self.b_k)
         v = ops.linear(u, self.w_v, self.b_v)
-        out = dot_product_attention(q, k, v, self.heads)             # (1, C)
+        out = dot_product_attention(q, k, v, self.heads)                # (..., 1, C)
         cls = ops.add(cls_token, ops.linear(out, self.w_o, self.b_o))
         return ops.add(cls, self.mlp(self.norm2(cls)))
 

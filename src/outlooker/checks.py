@@ -111,17 +111,18 @@ def _gradcheck_setup(kind: str, rng: np.random.Generator):
     if kind == "gelu":
         x = leaf(3, 4)
         return [x], lambda: ops.gelu(x)
+    # window ops, layers and blocks run on a leading batch of two
     if kind == "windows":
         geom = WindowGeometry(5, 4, 3, stride=2)
-        x = leaf(5, 4, 3)
+        x = leaf(2, 5, 4, 3)
         return [x], lambda: fold(unfold(x, geom), geom)
     if kind == "avg_pool":
-        x = leaf(5, 6, 3)
+        x = leaf(2, 5, 6, 3)
         return [x], lambda: ops.avg_pool(x, 2)
 
     if kind == "cablock":
         layer = ClassAttentionBlock(rng, 4, 2, 3.0, dtype=np.float64)
-        cls_token, patches = leaf(1, 4), leaf(5, 4)
+        cls_token, patches = leaf(2, 1, 4), leaf(2, 5, 4)
         return ([cls_token, patches] + [p for _, p in layer.named_params()],
                 lambda: layer.forward(cls_token, patches))
 
@@ -141,7 +142,7 @@ def _gradcheck_setup(kind: str, rng: np.random.Generator):
         layer, shape = TransformerBlock(rng, 4, 2, 3.0, dtype=np.float64), (6, 4)
     else:
         raise ContractError(f"unknown gradcheck kind {kind!r}; expected {GRADCHECK_KINDS}")
-    x = leaf(*shape)
+    x = leaf(2, *shape)
     return [x] + [p for _, p in layer.named_params()], lambda: layer.forward(x)
 
 

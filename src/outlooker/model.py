@@ -1,13 +1,14 @@
 """Two-stage image classifiers: config, presets, builder, and accounting.
 
-Pipeline (channels-last throughout):
+Pipeline (channels-last throughout, one batched pass over B images):
 
-  image (S, S, 3)
-    → stem: conv7×7/2, two conv3×3 (each LN+GELU), 4×4 patch projection → (S/8, S/8, C1)
+  images (B, S, S, 3)
+    → stem: conv7×7/2, two conv3×3 (each LN+GELU), 4×4 patch projection → (B, S/8, S/8, C1)
     → stage 1: outlook-attention blocks (or local-attention / conv swaps)
-    → 2×2 patch downsample → (S/16, S/16, C2) → +learnable position table
-    → stage 2: transformer blocks over the flat token list
-    → class token updated by class-attention blocks → LayerNorm → linear head.
+    → 2×2 patch downsample → (B, S/16, S/16, C2) → flat (B, L, C2) + position table
+    → stage 2: transformer blocks over the flat token lists
+    → class token (B, 1, C2) updated by class-attention blocks → LayerNorm
+    → linear head → logits (B, classes).
 
 ``count_params_config`` and ``analytic_madds`` account for the architecture
 symbolically (no allocation); ``count_params`` counts an instantiated model
@@ -166,13 +167,17 @@ class Stem:
 
 
 def patchify(t: Tensor, patch: int) -> Tensor:
-    """(H, W, C) → (H/p, W/p, p²·C) by non-overlapping row-major tiling."""
-    height, width, channels = t.shape
+    """(B, H, W, C) → (B, H/p, W/p, p²·C) by non-overlapping row-major tiling.
+
+    Any number of leading axes (including none) carries through.
+    """
+    *lead, height, width, channels = t.shape
     if height % patch or width % patch:
         raise ShapeError(f"map {height}x{width} not divisible by patch {patch}")
-    t = ops.reshape(t, (height // patch, patch, width // patch, patch, channels))
-    t = ops.permute(t, (0, 2, 1, 3, 4))
-    return ops.reshape(t, (height // patch, width // patch, patch * patch * channels))
+    n = len(lead)
+    t = ops.reshape(t, (*lead, height // patch, patch, width // patch, patch, channels))
+    t = ops.permute(t, (*range(n), n, n + 2, n + 1, n + 3, n + 4))
+    return ops.reshape(t, (*lead, height // patch, width // patch, patch * patch * channels))
 
 
 def _stage1_block(kind: str, rng, config: ModelConfig, rate: float, dtype):
@@ -237,40 +242,37 @@ class TwoStageModel:
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_params()]
 
-    def forward_one(self, image: Tensor, training: bool = False, rng=None) -> Tensor:
-        """(S, S, 3) image → (1, num_classes) logits."""
+    def forward(self, images, training: bool = False, rng=None) -> Tensor:
+        """(B, S, S, 3) images (Tensor or ndarray) → (B, num_classes) logits.
+
+        The whole batch runs through one forward.  Raises ``ShapeError`` for
+        any other resolution (the position table is not interpolated) and
+        ``ContractError`` when an image holds NaN or ±inf.
+        """
+        if not isinstance(images, Tensor):
+            images = Tensor(np.asarray(images), dtype=self.dtype)
         size = self.config.image_size
-        if image.shape != (size, size, 3):
+        if images.ndim != 4 or images.shape[1:] != (size, size, 3):
             raise ShapeError(
-                f"expected a ({size}, {size}, 3) image (the config's resolution; "
-                f"position table is not interpolated), got {image.shape}"
+                f"expected (B, {size}, {size}, 3) images (the config's resolution; "
+                f"position table is not interpolated), got {images.shape}"
             )
-        t = self.stem(image)
+        if not np.isfinite(images.data).all():
+            raise ContractError("images contain NaN or infinite values")
+        batch = images.shape[0]
+        t = self.stem(images)
         for blk in self.stage1:
             t = blk.forward(t, training=training, rng=rng)
         t = ops.linear(patchify(t, self.config.downsample), self.down_w, self.down_b)
-        grid2 = self.config.stage2_grid
-        t = ops.reshape(t, (grid2 * grid2, self.config.stage2_dim))
-        t = ops.add(t, self.pos_embed)
+        t = ops.reshape(t, (batch, self.config.stage2_grid ** 2, self.config.stage2_dim))
+        t = ops.add(t, ops.expand(self.pos_embed, batch))
         for blk in self.stage2:
             t = blk.forward(t, training=training, rng=rng)
-        cls = self.cls_token
+        cls = ops.expand(self.cls_token, batch)
         for blk in self.class_blocks:
             cls = blk.forward(cls, t)
-        cls = self.final_norm(cls)
-        return ops.linear(cls, self.head_w, self.head_b)
-
-    def forward(self, images, training: bool = False, rng=None) -> Tensor:
-        """(B, S, S, 3) images (Tensor or ndarray) → (B, num_classes) logits."""
-        if not isinstance(images, Tensor):
-            images = Tensor(np.asarray(images), dtype=self.dtype)
-        if images.ndim != 4 or images.shape[3] != 3:
-            raise ShapeError(f"expected (B, S, S, 3) images, got {images.shape}")
-        rows = []
-        for i in range(images.shape[0]):
-            image = ops.reshape(ops.narrow(images, 0, i, 1), images.shape[1:])
-            rows.append(self.forward_one(image, training=training, rng=rng))
-        return rows[0] if len(rows) == 1 else ops.concat(rows, axis=0)
+        logits = ops.linear(self.final_norm(cls), self.head_w, self.head_b)
+        return ops.reshape(logits, (batch, self.config.num_classes))
 
     __call__ = forward
 

@@ -3,8 +3,10 @@
 Every function takes and returns ``Tensor``s, computes the forward value with
 numpy, and registers a backward closure on the active tape (see ``tensor``).
 Shape checks are strict: elementwise ops require identical shapes, batched
-``matmul`` requires identical leading dims.  Scalar constants are plain
-python floats so float32 data stays float32.
+``matmul`` requires identical leading dims.  Operands of ``matmul``,
+``linear``, ``add``, ``sub`` and ``mul`` must share one dtype; float32 is
+never silently promoted to float64.  Scalar constants are plain python
+floats so float32 data stays float32.
 
 Only ``matmul`` and ``linear`` feed the multiply-add counter: a matmul of
 (m, k) @ (k, n) adds exactly m*k*n (times the batch size), a linear adds
@@ -33,6 +35,12 @@ def _leading(shape: tuple[int, ...], keep: int) -> int:
     return n
 
 
+def _same_dtype(op: str, *tensors: Tensor) -> None:
+    dtypes = {t.dtype for t in tensors}
+    if len(dtypes) > 1:
+        raise ContractError(f"{op} operands mix dtypes {sorted(str(d) for d in dtypes)}")
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product ``a @ b``.
 
@@ -43,6 +51,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul operands do not align: {a.shape} @ {b.shape}")
+    _same_dtype("matmul", a, b)
     data = a.data @ b.data
     m, k = int(a.shape[-2]), int(a.shape[-1])
     n = int(b.shape[-1])
@@ -66,6 +75,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear operands do not align: {x.shape} @ {w.shape}")
     if b is not None and b.shape != (w.shape[1],):
         raise ShapeError(f"linear bias shape {b.shape} does not match weight {w.shape}")
+    _same_dtype("linear", x, w, *(() if b is None else (b,)))
     cin, cout = int(w.shape[0]), int(w.shape[1])
     data = x.data @ w.data
     if b is not None:
@@ -88,6 +98,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two same-shape tensors."""
     if a.shape != b.shape:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
+    _same_dtype("add", a, b)
     return from_op(a.data + b.data, (a, b), lambda g: (g, g))
 
 
@@ -95,6 +106,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise difference of two same-shape tensors."""
     if a.shape != b.shape:
         raise ShapeError(f"sub shapes differ: {a.shape} vs {b.shape}")
+    _same_dtype("sub", a, b)
     return from_op(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
@@ -102,13 +114,37 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two same-shape tensors."""
     if a.shape != b.shape:
         raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
+    _same_dtype("mul", a, b)
     return from_op(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
-def scale(x: Tensor, factor: float) -> Tensor:
-    """Multiply by a python scalar."""
-    factor = float(factor)
+def scale(x: Tensor, factor) -> Tensor:
+    """Multiply by a constant factor, which receives no gradient.
+
+    ``factor`` is a python scalar, or an array of ``x``'s dtype that
+    broadcasts to ``x``'s shape, such as a per-sample (B, 1, …, 1) mask.
+    """
+    if isinstance(factor, np.ndarray):
+        if factor.dtype != x.dtype:
+            raise ContractError(f"scale factor dtype {factor.dtype} differs from {x.dtype}")
+        if factor.ndim > x.ndim or any(f not in (1, d) for f, d in
+                                       zip(factor.shape[::-1], x.shape[::-1])):
+            raise ShapeError(f"scale factor {factor.shape} does not broadcast to {x.shape}")
+    else:
+        factor = float(factor)
     return from_op(x.data * factor, (x,), lambda g: (g * factor,))
+
+
+def expand(x: Tensor, batch: int) -> Tensor:
+    """Repeat along a new leading axis: (...) → (batch, ...).
+
+    The backward sums the gradient over the new axis.
+    """
+    batch = int(batch)
+    if batch < 1:
+        raise ShapeError(f"expand batch must be >= 1, got {batch}")
+    data = np.broadcast_to(x.data, (batch, *x.shape))
+    return from_op(data, (x,), lambda g: (g.sum(axis=0),))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -253,29 +289,29 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def avg_pool(x: Tensor, stride: int) -> Tensor:
-    """Non-overlapping stride×stride mean over the two leading spatial axes.
+    """Non-overlapping stride×stride mean over the two spatial axes.
 
-    ``x``: (H, W, C) → (ceil(H/s), ceil(W/s), C).  Edge cells average over
-    in-bounds entries only, so padding never leaks values in.
+    ``x``: (..., H, W, C) → (..., ceil(H/s), ceil(W/s), C).  Edge cells
+    average over in-bounds entries only, so padding never leaks values in.
     """
     stride = int(stride)
     if stride < 1:
         raise ShapeError(f"avg_pool stride must be >= 1, got {stride}")
-    if x.ndim != 3:
-        raise ShapeError(f"avg_pool expects (H, W, C), got {x.shape}")
+    if x.ndim < 3:
+        raise ShapeError(f"avg_pool expects (..., H, W, C), got {x.shape}")
     if stride == 1:
         return x
-    height, width, _ = x.shape
+    *lead, height, width, channels = x.shape
     h = -(-height // stride)
     w = -(-width // stride)
     counts_h = np.minimum(stride, height - stride * np.arange(h))
     counts_w = np.minimum(stride, width - stride * np.arange(w))
     counts = np.outer(counts_h, counts_w).astype(x.data.dtype)[:, :, None]
-    acc = np.zeros((h, w, x.shape[2]), dtype=x.data.dtype)
+    acc = np.zeros((*lead, h, w, channels), dtype=x.data.dtype)
     for a in range(stride):
         for b in range(stride):
-            sub = x.data[a::stride, b::stride, :]
-            acc[: sub.shape[0], : sub.shape[1], :] += sub
+            sub = x.data[..., a::stride, b::stride, :]
+            acc[..., : sub.shape[-3], : sub.shape[-2], :] += sub
     out = acc / counts
 
     def backward_fn(g):
@@ -283,8 +319,8 @@ def avg_pool(x: Tensor, stride: int) -> Tensor:
         gx = np.zeros_like(x.data)
         for a in range(stride):
             for b in range(stride):
-                view = gx[a::stride, b::stride, :]
-                view += gs[: view.shape[0], : view.shape[1], :]
+                view = gx[..., a::stride, b::stride, :]
+                view += gs[..., : view.shape[-3], : view.shape[-2], :]
         return (gx,)
 
     return from_op(out, (x,), backward_fn)

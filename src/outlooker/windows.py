@@ -5,7 +5,8 @@ A window geometry places K×K windows on an H×W token map with zero padding
 Window centers per axis: ⌊(extent + 2p − K)/s⌋ + 1.  Windows and the offsets
 inside a window are both enumerated row-major, so stack row ``t = a·w + b``,
 slot ``u = dp·K + dq`` holds the token at (a·s + dp − p, b·s + dq − p), or
-zero when that index is out of bounds.
+zero when that index is out of bounds.  Leading axes before (H, W, C), such
+as a batch axis, carry through unchanged.
 
 ``fold`` is the exact linear adjoint of ``unfold``: ⟨unfold(x), y⟩ =
 ⟨x, fold(y)⟩, which is also how the two ops provide each other's backward.
@@ -68,45 +69,46 @@ class WindowGeometry:
 
 
 def unfold_array(x: np.ndarray, geom: WindowGeometry) -> np.ndarray:
-    """Forward kernel on a raw array: (H, W, C) → (windows, K², C)."""
+    """Forward kernel on a raw array: (..., H, W, C) → (..., windows, K², C)."""
     k, s, p = geom.kernel, geom.stride, geom.padding
-    height, width, channels = x.shape
-    padded = np.zeros((height + 2 * p, width + 2 * p, channels), dtype=x.dtype)
-    padded[p : p + height, p : p + width, :] = x
+    *lead, height, width, channels = x.shape
+    padded = np.zeros((*lead, height + 2 * p, width + 2 * p, channels), dtype=x.dtype)
+    padded[..., p : p + height, p : p + width, :] = x
     h, w = geom.out_height, geom.out_width
-    out = np.empty((h, w, k * k, channels), dtype=x.dtype)
+    out = np.empty((*lead, h, w, k * k, channels), dtype=x.dtype)
     for dp in range(k):
         for dq in range(k):
-            rows = padded[dp : dp + s * (h - 1) + 1 : s, dq : dq + s * (w - 1) + 1 : s, :]
-            out[:, :, dp * k + dq, :] = rows
-    return out.reshape(h * w, k * k, channels)
+            rows = padded[..., dp : dp + s * (h - 1) + 1 : s, dq : dq + s * (w - 1) + 1 : s, :]
+            out[..., dp * k + dq, :] = rows
+    return out.reshape(*lead, h * w, k * k, channels)
 
 
 def fold_array(y: np.ndarray, geom: WindowGeometry) -> np.ndarray:
-    """Adjoint kernel on a raw array: (windows, K², C) → (H, W, C) by scatter-add."""
+    """Adjoint kernel on a raw array: (..., windows, K², C) → (..., H, W, C) by scatter-add."""
     k, s, p = geom.kernel, geom.stride, geom.padding
     h, w = geom.out_height, geom.out_width
-    channels = y.shape[-1]
-    grid = y.reshape(h, w, k, k, channels)
-    padded = np.zeros((geom.height + 2 * p, geom.width + 2 * p, channels), dtype=y.dtype)
+    *lead, _, _, channels = y.shape
+    grid = y.reshape(*lead, h, w, k, k, channels)
+    padded = np.zeros((*lead, geom.height + 2 * p, geom.width + 2 * p, channels), dtype=y.dtype)
     for dp in range(k):
         for dq in range(k):
-            padded[dp : dp + s * (h - 1) + 1 : s, dq : dq + s * (w - 1) + 1 : s, :] += grid[:, :, dp, dq, :]
-    return np.ascontiguousarray(padded[p : p + geom.height, p : p + geom.width, :])
+            padded[..., dp : dp + s * (h - 1) + 1 : s, dq : dq + s * (w - 1) + 1 : s, :] += (
+                grid[..., dp, dq, :])
+    return np.ascontiguousarray(padded[..., p : p + geom.height, p : p + geom.width, :])
 
 
 def _check_map(x: Tensor, geom: WindowGeometry) -> None:
-    if x.ndim != 3:
-        raise ShapeError(f"expected a (H, W, C) token map, got {x.shape}")
-    if x.shape[0] != geom.height or x.shape[1] != geom.width:
+    if x.ndim < 3:
+        raise ShapeError(f"expected a (..., H, W, C) token map, got {x.shape}")
+    if x.shape[-3:-1] != (geom.height, geom.width):
         raise ShapeError(
-            f"map extent {x.shape[0]}x{x.shape[1]} does not match geometry "
+            f"map extent {x.shape[-3]}x{x.shape[-2]} does not match geometry "
             f"{geom.height}x{geom.width}"
         )
 
 
 def unfold(x: Tensor, geom: WindowGeometry) -> Tensor:
-    """Extract every window as a stack row: (H, W, C) → (windows, K², C)."""
+    """Extract every window as a stack row: (..., H, W, C) → (..., windows, K², C)."""
     _check_map(x, geom)
     data = unfold_array(x.data, geom)
 
@@ -117,11 +119,11 @@ def unfold(x: Tensor, geom: WindowGeometry) -> Tensor:
 
 
 def fold(y: Tensor, geom: WindowGeometry) -> Tensor:
-    """Scatter-add stack rows back onto the map: (windows, K², C) → (H, W, C)."""
+    """Scatter-add stack rows back onto the map: (..., windows, K², C) → (..., H, W, C)."""
     k = geom.kernel
-    if y.ndim != 3 or y.shape[0] != geom.windows or y.shape[1] != k * k:
+    if y.ndim < 3 or y.shape[-3:-1] != (geom.windows, k * k):
         raise ShapeError(
-            f"expected a ({geom.windows}, {k * k}, C) window stack, got {y.shape}"
+            f"expected a (..., {geom.windows}, {k * k}, C) window stack, got {y.shape}"
         )
     data = fold_array(y.data, geom)
 

@@ -43,16 +43,19 @@ class TestConstruction:
         assert layer.w_a.size + layer.b_a.size == 93_798
 
     def test_forward_shapes(self, rng):
+        def maps(*shape):   # the layers are float32, and ops never promote dtypes
+            return Tensor(rng.standard_normal(shape), dtype=np.float32)
+
         oa = OutlookAttention(np.random.default_rng(0), 8, 2, 3)
-        assert oa.forward(Tensor(rng.standard_normal((5, 6, 8)))).shape == (5, 6, 8)
+        assert oa.forward(maps(5, 6, 8)).shape == (5, 6, 8)
         oa2 = OutlookAttention(np.random.default_rng(0), 8, 2, 3, stride=2)
-        assert oa2.forward(Tensor(rng.standard_normal((5, 6, 8)))).shape == (5, 6, 8)
+        assert oa2.forward(maps(5, 6, 8)).shape == (5, 6, 8)
         lsa = LocalSelfAttention(np.random.default_rng(0), 8, 2, 3)
-        assert lsa.forward(Tensor(rng.standard_normal((5, 6, 8)))).shape == (5, 6, 8)
+        assert lsa.forward(maps(5, 6, 8)).shape == (5, 6, 8)
         sa = SelfAttention(np.random.default_rng(0), 8, 2)
-        assert sa.forward(Tensor(rng.standard_normal((30, 8)))).shape == (30, 8)
+        assert sa.forward(maps(30, 8)).shape == (30, 8)
         conv = Conv2d(np.random.default_rng(0), 3, 8, 12)
-        assert conv.forward(Tensor(rng.standard_normal((5, 6, 8)))).shape == (5, 6, 12)
+        assert conv.forward(maps(5, 6, 8)).shape == (5, 6, 12)
 
 
 class TestOutlookIdentities:

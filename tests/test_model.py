@@ -152,6 +152,16 @@ class TestForward:
         with pytest.raises(ShapeError):
             model.forward(rng.standard_normal((1, 48, 48, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_images_rejected(self, bad, rng):
+        model = build_model(PRESETS["tiny"], seed=0)
+        images = rng.standard_normal((2, 32, 32, 3)).astype(np.float32)
+        images[1, 5, 7, 2] = bad
+        with pytest.raises(ContractError):
+            model.forward(images)
+        with pytest.raises(ContractError):
+            model.forward(np.full((1, 32, 32, 3), bad, dtype=np.float32))
+
     def test_doubling_head_doubles_logits(self, rng):
         model = build_model(PRESETS["tiny"], seed=0)
         x = rng.standard_normal((1, 32, 32, 3)).astype(np.float32)
@@ -175,6 +185,19 @@ class TestForward:
 
 
 class TestGradientFlow:
+    def test_tape_nodes_do_not_grow_with_batch(self, rng):
+        # the batch is an array axis: one forward records the same ops for
+        # one image as for eight
+        model = build_model(PRESETS["tiny"], seed=0)
+        counts = []
+        for batch in (1, 8):
+            x = rng.standard_normal((batch, 32, 32, 3)).astype(np.float32)
+            with Tape() as tape:
+                cross_entropy(model.forward(x, training=True, rng=np.random.default_rng(0)),
+                              np.arange(batch) % 10)
+            counts.append(len(tape))
+        assert counts[0] == counts[1]
+
     def test_every_parameter_receives_gradient(self, rng):
         model = build_model(PRESETS["tiny"], seed=0)
         x = rng.standard_normal((4, 32, 32, 3)).astype(np.float32)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from outlooker import MADD_COUNTER, Tensor, ops
+from outlooker import MADD_COUNTER, Tape, Tensor, backward, ops
 from outlooker.errors import ContractError, ShapeError
 
 
@@ -58,6 +58,48 @@ class TestElementwise:
         for out in (ops.gelu(x), ops.softmax(x), ops.scale(x, 0.5),
                     ops.layer_norm(x, gamma, beta)):
             assert out.dtype == np.float32
+
+
+class TestDtypeContract:
+    def test_float32_x_with_float64_w_rejected(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)).astype(np.float32))
+        w = Tensor(rng.standard_normal((4, 5)), dtype=np.float64)
+        with pytest.raises(ContractError):
+            ops.linear(x, w)
+        with pytest.raises(ContractError):
+            ops.matmul(x, w)
+
+    def test_elementwise_ops_reject_mixed_dtypes(self, rng):
+        a = Tensor(rng.standard_normal((2, 3)).astype(np.float32))
+        b = Tensor(rng.standard_normal((2, 3)), dtype=np.float64)
+        for op in (ops.add, ops.sub, ops.mul):
+            with pytest.raises(ContractError):
+                op(a, b)
+
+
+class TestScaleExpand:
+    def test_scale_by_per_sample_mask(self, rng):
+        x = rng.standard_normal((3, 2, 4)).astype(np.float32)
+        mask = np.array([0.0, 2.0, 1.0], dtype=np.float32).reshape(3, 1, 1)
+        got = ops.scale(Tensor(x), mask)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got.data, x * mask)
+
+    def test_scale_mask_contract(self, rng):
+        x = Tensor(rng.standard_normal((3, 2, 4)).astype(np.float32))
+        with pytest.raises(ContractError):
+            ops.scale(x, np.ones((3, 1, 1), dtype=np.float64))
+        with pytest.raises(ShapeError):
+            ops.scale(x, np.ones((3, 2, 4, 1), dtype=np.float32))
+
+    def test_expand_repeats_forward_and_sums_backward(self, rng):
+        x = Tensor(rng.standard_normal((2, 3)), dtype=np.float64, requires_grad=True)
+        probe = rng.standard_normal((4, 2, 3))
+        with Tape() as tape:
+            y = ops.expand(x, 4)
+            grads = backward(ops.sum_all(ops.mul(y, Tensor(probe, dtype=np.float64))), tape)
+        np.testing.assert_array_equal(y.data, np.broadcast_to(x.data, (4, 2, 3)))
+        np.testing.assert_allclose(grads[x], probe.sum(axis=0), rtol=1e-12)
 
 
 class TestSoftmax:
