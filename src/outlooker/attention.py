@@ -36,8 +36,8 @@ from .windows import WindowGeometry, fold, in_bounds_mask, unfold
 INIT_STD = 0.02
 
 
-def _param(rng, shape, std, dtype) -> Tensor:
-    return Tensor(trunc_normal(rng, shape, std, dtype), requires_grad=True)
+def _param(rng, shape, dtype) -> Tensor:
+    return Tensor(trunc_normal(rng, shape, INIT_STD, dtype), requires_grad=True)
 
 
 def _zeros(shape, dtype) -> Tensor:
@@ -89,12 +89,12 @@ def dot_product_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
 class MultiHeadCore:
     """The q/k/v/o projections (C×C, with bias) of the dot-product attention layers."""
 
-    def __init__(self, rng, channels: int, heads: int, dtype=np.float32, std: float = INIT_STD):
+    def __init__(self, rng, channels: int, heads: int, dtype=np.float32):
         _check_heads(channels, heads)
         self.channels = channels
         self.heads = heads
         for name in ("q", "k", "v", "o"):
-            setattr(self, f"w_{name}", _param(rng, (channels, channels), std, dtype))
+            setattr(self, f"w_{name}", _param(rng, (channels, channels), dtype))
             setattr(self, f"b_{name}", _zeros(channels, dtype))
 
     def named_params(self):
@@ -116,7 +116,7 @@ class OutlookAttention:
     kind = "oa"
 
     def __init__(self, rng, channels: int, heads: int, kernel: int = 3, stride: int = 1,
-                 dtype=np.float32, std: float = INIT_STD):
+                 dtype=np.float32):
         _check_heads(channels, heads)
         if kernel < 1 or kernel % 2 == 0:
             raise GeometryError(f"kernel must be odd and positive, got K={kernel}")
@@ -127,10 +127,10 @@ class OutlookAttention:
         self.kernel = kernel
         self.stride = stride
         k4 = kernel ** 4
-        self.w_v = _param(rng, (channels, channels), std, dtype)
-        self.w_a = _param(rng, (channels, heads * k4), std, dtype)
+        self.w_v = _param(rng, (channels, channels), dtype)
+        self.w_a = _param(rng, (channels, heads * k4), dtype)
         self.b_a = _zeros(heads * k4, dtype)
-        self.w_o = _param(rng, (channels, channels), std, dtype)
+        self.w_o = _param(rng, (channels, channels), dtype)
         self.b_o = _zeros(channels, dtype)
 
     def named_params(self):
@@ -171,9 +171,8 @@ class LocalSelfAttention(MultiHeadCore):
 
     kind = "lsa"
 
-    def __init__(self, rng, channels: int, heads: int, kernel: int = 3,
-                 dtype=np.float32, std: float = INIT_STD):
-        super().__init__(rng, channels, heads, dtype, std)
+    def __init__(self, rng, channels: int, heads: int, kernel: int = 3, dtype=np.float32):
+        super().__init__(rng, channels, heads, dtype)
         if kernel < 1 or kernel % 2 == 0:
             raise GeometryError(f"kernel must be odd and positive, got K={kernel}")
         self.kernel = kernel
@@ -223,14 +222,14 @@ class Conv2d:
     kind = "conv"
 
     def __init__(self, rng, kernel: int, cin: int, cout: int, stride: int = 1,
-                 dtype=np.float32, std: float = INIT_STD):
+                 dtype=np.float32):
         if kernel < 1 or kernel % 2 == 0:
             raise GeometryError(f"kernel must be odd and positive, got K={kernel}")
         self.kernel = kernel
         self.cin = cin
         self.cout = cout
         self.stride = stride
-        self.weight = _param(rng, (kernel, kernel, cin, cout), std, dtype)
+        self.weight = _param(rng, (kernel, kernel, cin, cout), dtype)
         self.bias = _zeros(cout, dtype)
 
     def named_params(self):

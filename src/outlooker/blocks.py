@@ -17,8 +17,6 @@ from .attention import (Conv2d, LocalSelfAttention, MultiHeadCore, OutlookAttent
 from .errors import ContractError, ShapeError
 from .tensor import Tensor
 
-INIT_STD = 0.02
-
 
 def mlp_hidden(channels: int, ratio: float) -> int:
     """Hidden width ratio·C, required to be an exact integer."""
@@ -60,11 +58,11 @@ class LayerNorm:
 class Mlp:
     """linear → gelu → linear, hidden width = ratio × channels."""
 
-    def __init__(self, rng, channels: int, ratio: float, dtype=np.float32, std: float = INIT_STD):
+    def __init__(self, rng, channels: int, ratio: float, dtype=np.float32):
         hidden = mlp_hidden(channels, ratio)
-        self.w1 = _param(rng, (channels, hidden), std, dtype)
+        self.w1 = _param(rng, (channels, hidden), dtype)
         self.b1 = _zeros(hidden, dtype)
-        self.w2 = _param(rng, (hidden, channels), std, dtype)
+        self.w2 = _param(rng, (hidden, channels), dtype)
         self.b2 = _zeros(channels, dtype)
 
     def named_params(self):
@@ -86,11 +84,11 @@ def _child_params(pairs):
 class _ResidualBlock:
     """Shared plumbing: two pre-norm residual branches with optional drop."""
 
-    def __init__(self, mixer, rng, channels, mlp_ratio, drop_path, dtype, std):
+    def __init__(self, mixer, rng, channels, mlp_ratio, drop_path, dtype):
         self.norm1 = LayerNorm(channels, dtype=dtype)
         self.mixer = mixer
         self.norm2 = LayerNorm(channels, dtype=dtype)
-        self.mlp = Mlp(rng, channels, mlp_ratio, dtype=dtype, std=std)
+        self.mlp = Mlp(rng, channels, mlp_ratio, dtype=dtype)
         if not (0.0 <= drop_path < 1.0):
             raise ContractError(f"drop_path must be in [0, 1), got {drop_path}")
         self.drop_path = float(drop_path)
@@ -119,39 +117,36 @@ class OutlookerBlock(_ResidualBlock):
     """Outlook attention + MLP residual pair on a (..., H, W, C) map."""
 
     def __init__(self, rng, channels: int, heads: int, kernel: int = 3, stride: int = 1,
-                 mlp_ratio: float = 3.0, drop_path: float = 0.0,
-                 dtype=np.float32, std: float = INIT_STD):
-        mixer = OutlookAttention(rng, channels, heads, kernel, stride, dtype=dtype, std=std)
-        super().__init__(mixer, rng, channels, mlp_ratio, drop_path, dtype, std)
+                 mlp_ratio: float = 3.0, drop_path: float = 0.0, dtype=np.float32):
+        mixer = OutlookAttention(rng, channels, heads, kernel, stride, dtype=dtype)
+        super().__init__(mixer, rng, channels, mlp_ratio, drop_path, dtype)
 
 
 class LocalAttentionBlock(_ResidualBlock):
     """Neighborhood self-attention + MLP residual pair on a (..., H, W, C) map."""
 
     def __init__(self, rng, channels: int, heads: int, kernel: int = 3,
-                 mlp_ratio: float = 3.0, drop_path: float = 0.0,
-                 dtype=np.float32, std: float = INIT_STD):
-        mixer = LocalSelfAttention(rng, channels, heads, kernel, dtype=dtype, std=std)
-        super().__init__(mixer, rng, channels, mlp_ratio, drop_path, dtype, std)
+                 mlp_ratio: float = 3.0, drop_path: float = 0.0, dtype=np.float32):
+        mixer = LocalSelfAttention(rng, channels, heads, kernel, dtype=dtype)
+        super().__init__(mixer, rng, channels, mlp_ratio, drop_path, dtype)
 
 
 class ConvBlock(_ResidualBlock):
     """Same-width convolution + MLP residual pair on a (..., H, W, C) map."""
 
     def __init__(self, rng, channels: int, kernel: int = 3,
-                 mlp_ratio: float = 3.0, drop_path: float = 0.0,
-                 dtype=np.float32, std: float = INIT_STD):
-        mixer = Conv2d(rng, kernel, channels, channels, dtype=dtype, std=std)
-        super().__init__(mixer, rng, channels, mlp_ratio, drop_path, dtype, std)
+                 mlp_ratio: float = 3.0, drop_path: float = 0.0, dtype=np.float32):
+        mixer = Conv2d(rng, kernel, channels, channels, dtype=dtype)
+        super().__init__(mixer, rng, channels, mlp_ratio, drop_path, dtype)
 
 
 class TransformerBlock(_ResidualBlock):
     """Full self-attention + MLP residual pair on a (..., L, C) token list."""
 
     def __init__(self, rng, channels: int, heads: int, mlp_ratio: float = 3.0,
-                 drop_path: float = 0.0, dtype=np.float32, std: float = INIT_STD):
-        mixer = SelfAttention(rng, channels, heads, dtype=dtype, std=std)
-        super().__init__(mixer, rng, channels, mlp_ratio, drop_path, dtype, std)
+                 drop_path: float = 0.0, dtype=np.float32):
+        mixer = SelfAttention(rng, channels, heads, dtype=dtype)
+        super().__init__(mixer, rng, channels, mlp_ratio, drop_path, dtype)
 
 
 class ClassAttentionBlock(MultiHeadCore):
@@ -163,11 +158,11 @@ class ClassAttentionBlock(MultiHeadCore):
     """
 
     def __init__(self, rng, channels: int, heads: int, mlp_ratio: float = 3.0,
-                 dtype=np.float32, std: float = INIT_STD):
+                 dtype=np.float32):
         self.norm1 = LayerNorm(channels, dtype=dtype)
-        super().__init__(rng, channels, heads, dtype, std)
+        super().__init__(rng, channels, heads, dtype)
         self.norm2 = LayerNorm(channels, dtype=dtype)
-        self.mlp = Mlp(rng, channels, mlp_ratio, dtype=dtype, std=std)
+        self.mlp = Mlp(rng, channels, mlp_ratio, dtype=dtype)
 
     def named_params(self):
         return _child_params([("norm1", self.norm1)]) + super().named_params() + _child_params(

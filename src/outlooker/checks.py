@@ -151,7 +151,6 @@ def gradient_check(
     h: float = 1e-5,
     tolerance: float = 1e-4,
     kinds: tuple[str, ...] = GRADCHECK_KINDS,
-    corrupt: bool = False,
 ) -> OracleReport:
     """Check tape gradients of every op and layer kind by central differences.
 
@@ -161,10 +160,6 @@ def gradient_check(
     loss at h=1e-5 carry roundoff and truncation noise up to ~1e-9 absolute,
     so coordinates below the floor are effectively compared absolutely at
     the 1e-9 scale (floor × tolerance) instead of drowning in that noise.
-
-    ``corrupt=True`` deliberately bends one analytic gradient coordinate per
-    case; it exists so tests can prove this checker actually detects wrong
-    gradients.
     """
     report = OracleReport(tolerance=tolerance)
     for ki, kind in enumerate(kinds):
@@ -187,9 +182,6 @@ def gradient_check(
                 loss = ops.sum_all(ops.mul(rebuild(), Tensor(probe, dtype=np.float64)))
                 grads = backward(loss, tape)
             analytic = [grads.get(t, np.zeros_like(t.data)) for t in tensors]
-            if corrupt:
-                analytic[0] = analytic[0].copy()
-                analytic[0].flat[0] += 0.5
 
             rel = max(relative_error(a, n, eps=1e-5)
                       for a, n in zip(analytic, numeric))

@@ -41,6 +41,7 @@ from .tensor import Tensor
 
 STAGE1_KINDS = ("outlook", "lsa", "conv")
 STEM_HIDDEN = 64
+STEM_PATCH = 4   # after the stride-2 conv, so the stem reduces the image 2·4 = 8×
 
 
 @dataclass
@@ -62,7 +63,6 @@ class ModelConfig:
     num_class_blocks: int = 2
     drop_path_rate: float = 0.0
     stage1_kind: str = "outlook"
-    patch_size: int = 8
     downsample: int = 2
 
     def __post_init__(self):
@@ -83,7 +83,7 @@ class ModelConfig:
 
     @property
     def stage1_grid(self) -> int:
-        return self.image_size // self.patch_size
+        return self.image_size // (2 * STEM_PATCH)
 
     @property
     def stage2_grid(self) -> int:
@@ -139,15 +139,15 @@ REFERENCE_MADDS = {"d1": 6.8e9, "d2": 14.1e9, "d3": 20.6e9, "d4": 43.8e9, "d5": 
 class Stem:
     """conv7×7/2 → two conv3×3 (LN+GELU after each conv) → 4×4 patch projection."""
 
-    def __init__(self, rng, out_dim: int, hidden: int = STEM_HIDDEN, dtype=np.float32, std=0.02):
+    def __init__(self, rng, out_dim: int, hidden: int = STEM_HIDDEN, dtype=np.float32):
         self.hidden = hidden
-        self.conv1 = Conv2d(rng, 7, 3, hidden, stride=2, dtype=dtype, std=std)
+        self.conv1 = Conv2d(rng, 7, 3, hidden, stride=2, dtype=dtype)
         self.norm1 = LayerNorm(hidden, dtype=dtype)
-        self.conv2 = Conv2d(rng, 3, hidden, hidden, dtype=dtype, std=std)
+        self.conv2 = Conv2d(rng, 3, hidden, hidden, dtype=dtype)
         self.norm2 = LayerNorm(hidden, dtype=dtype)
-        self.conv3 = Conv2d(rng, 3, hidden, hidden, dtype=dtype, std=std)
+        self.conv3 = Conv2d(rng, 3, hidden, hidden, dtype=dtype)
         self.norm3 = LayerNorm(hidden, dtype=dtype)
-        self.proj_w = _param(rng, (16 * hidden, out_dim), std, dtype)
+        self.proj_w = _param(rng, (STEM_PATCH ** 2 * hidden, out_dim), dtype)
         self.proj_b = _zeros(out_dim, dtype)
 
     def named_params(self):
@@ -160,7 +160,7 @@ class Stem:
         t = ops.gelu(self.norm1(self.conv1(x)))
         t = ops.gelu(self.norm2(self.conv2(t)))
         t = ops.gelu(self.norm3(self.conv3(t)))
-        t = patchify(t, 4)
+        t = patchify(t, STEM_PATCH)
         return ops.linear(t, self.proj_w, self.proj_b)
 
     __call__ = forward
@@ -206,23 +206,23 @@ class TwoStageModel:
             _stage1_block(config.stage1_kind, rng, config, rates[i], dtype)
             for i in range(config.num_outlookers)
         ]
-        self.down_w = _param(rng, (config.downsample ** 2 * c1, c2), 0.02, dtype)
+        self.down_w = _param(rng, (config.downsample ** 2 * c1, c2), dtype)
         self.down_b = _zeros(c2, dtype)
         grid2 = config.stage2_grid
-        self.pos_embed = _param(rng, (grid2 * grid2, c2), 0.02, dtype)
+        self.pos_embed = _param(rng, (grid2 * grid2, c2), dtype)
         self.stage2 = [
             TransformerBlock(rng, c2, config.transformer_heads, config.transformer_mlp_ratio,
                              rates[config.num_outlookers + i], dtype=dtype)
             for i in range(config.num_transformers)
         ]
-        self.cls_token = _param(rng, (1, c2), 0.02, dtype)
+        self.cls_token = _param(rng, (1, c2), dtype)
         self.class_blocks = [
             ClassAttentionBlock(rng, c2, config.transformer_heads,
                                 config.transformer_mlp_ratio, dtype=dtype)
             for _ in range(config.num_class_blocks)
         ]
         self.final_norm = LayerNorm(c2, dtype=dtype)
-        self.head_w = _param(rng, (c2, config.num_classes), 0.02, dtype)
+        self.head_w = _param(rng, (c2, config.num_classes), dtype)
         self.head_b = _zeros(config.num_classes, dtype)
 
     def named_params(self):
@@ -315,7 +315,7 @@ def count_params_config(config: ModelConfig) -> int:
     """Exact parameter count straight from the config (matches count_params)."""
     c1, c2 = config.stage1_dim, config.stage2_dim
     stem = (_linear_params(49 * 3, STEM_HIDDEN) + 2 * _linear_params(9 * STEM_HIDDEN, STEM_HIDDEN)
-            + 3 * 2 * STEM_HIDDEN + _linear_params(16 * STEM_HIDDEN, c1))
+            + 3 * 2 * STEM_HIDDEN + _linear_params(STEM_PATCH ** 2 * STEM_HIDDEN, c1))
     oblock = 2 * 2 * c1 + _stage1_mixer_params(config) + _mlp_params(c1, config.outlooker_mlp_ratio)
     tblock = 2 * 2 * c2 + 4 * _linear_params(c2, c2) + _mlp_params(c2, config.transformer_mlp_ratio)
     cablock = tblock  # same projections, norms, and MLP shape
@@ -340,15 +340,15 @@ def analytic_madds(config: ModelConfig, resolution: int | None = None) -> int:
     size = config.image_size if resolution is None else int(resolution)
     if size % 16 != 0:
         raise ShapeError(f"resolution must be divisible by 16, got {size}")
-    g1 = size // config.patch_size
+    half = size // 2
+    g1 = half // STEM_PATCH
     g2 = g1 // config.downsample
     hw1, length = g1 * g1, g2 * g2
     c1, c2, k = config.stage1_dim, config.stage2_dim, config.kernel
 
-    half = size // 2
     stem = (half * half * (49 * 3) * STEM_HIDDEN
             + 2 * half * half * (9 * STEM_HIDDEN) * STEM_HIDDEN
-            + hw1 * (16 * STEM_HIDDEN) * c1)
+            + hw1 * (STEM_PATCH ** 2 * STEM_HIDDEN) * c1)
 
     if config.stage1_kind == "outlook":
         wins = ((g1 + 2 * (k // 2) - k) // config.stride + 1) ** 2

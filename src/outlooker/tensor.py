@@ -2,15 +2,17 @@
 
 The autodiff model is a classic Wengert list: while a ``Tape`` is active,
 every primitive records the tensors it read, the tensor it produced, and a
-closure mapping the output gradient to input gradients.  ``backward`` replays
-the list in reverse.  Recording order is a topological order of the
+closure mapping the output gradient to input gradients.  ``backward`` pops
+the list from the end.  Recording order is a topological order of the
 computation (an input must exist before an op can consume it), so the reverse
 replay is an exact reverse topological order and each node's output gradient
-is complete before the node runs.
+is complete before the node runs.  The replay consumes the tape: each node,
+with its closure and the activations it holds, is dropped once it has run,
+and each intermediate gradient as soon as its node has consumed it.  Only
+leaf gradients are returned.
 
 Only ``matmul``/``linear`` style primitives feed ``MADD_COUNTER`` (see
-``ops``); the counter is the single piece of shared mutable state in the
-library and is lock-protected.
+``ops``); the counter is one process-wide total, lock-protected.
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ DEFAULT_DTYPE = np.float32
 
 
 class Tensor:
-    """A contiguous n-d float array plus a gradient slot.
+    """A contiguous n-d float array, flagged when gradients should reach it.
 
-    Values are immutable by convention once created.  The two sanctioned
-    mutations are gradient accumulation (``backward`` writes ``grad``) and
-    optimizer updates to parameter buffers between steps.
+    Values are immutable by convention once created.  The one sanctioned
+    mutation is an optimizer update to a parameter buffer between steps;
+    gradients live in the map ``backward`` returns, not on the tensor.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -48,7 +50,6 @@ class Tensor:
             )
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
-        self.grad = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -97,26 +98,18 @@ class Tensor:
 
 
 BackwardFn = Callable[[np.ndarray], Sequence["np.ndarray | None"]]
-
-
-class _Node:
-    __slots__ = ("inputs", "output", "backward_fn")
-
-    def __init__(self, inputs: tuple[Tensor, ...], output: Tensor, backward_fn: BackwardFn):
-        self.inputs = inputs
-        self.output = output
-        self.backward_fn = backward_fn
+Node = tuple[tuple[Tensor, ...], Tensor, BackwardFn]
 
 
 class Tape:
     """Ordered record of primitive applications, replayed in reverse.
 
     A tape is single-threaded: enter it as a context manager, run the forward
-    computation inside, then call ``backward(loss, tape)``.
+    computation inside, then call ``backward(loss, tape)``, which empties it.
     """
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[Node] = []
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -130,7 +123,7 @@ class Tape:
         return False
 
     def record(self, inputs: Sequence[Tensor], output: Tensor, backward_fn: BackwardFn) -> None:
-        self._nodes.append(_Node(tuple(inputs), output, backward_fn))
+        self._nodes.append((tuple(inputs), output, backward_fn))
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -152,59 +145,56 @@ def active_tape() -> Tape | None:
     return stack[-1] if stack else None
 
 
-def record(inputs: Sequence[Tensor], output: Tensor, backward_fn: BackwardFn) -> None:
-    """Record one primitive application on the innermost active tape, if any.
-
-    No-op when no tape is active (inference) or when no input requires
-    gradients (the node could never receive a pull).
-    """
-    tape = active_tape()
-    if tape is not None and output.requires_grad:
-        tape.record(inputs, output, backward_fn)
-
-
 def from_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: BackwardFn) -> Tensor:
-    """Wrap an op result, propagating requires_grad and recording the node."""
+    """Wrap an op result, propagating requires_grad and recording the node.
+
+    Nothing is recorded when no tape is active (inference) or when no input
+    requires gradients (the node could never receive a pull).
+    """
     out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs), dtype=data.dtype)
-    record(inputs, out, backward_fn)
+    tape = active_tape()
+    if tape is not None and out.requires_grad:
+        tape.record(inputs, out, backward_fn)
     return out
 
 
 def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
-    """Accumulate gradients of a scalar ``loss`` over ``tape``.
+    """Gradients of a scalar ``loss`` with respect to the leaves of ``tape``.
 
-    Returns a map from every requires_grad tensor that appears on the tape to
-    its gradient (zeros if the loss does not depend on it); the same array is
-    also stored on ``tensor.grad``.  Raises ``ContractError`` for a non-scalar
-    loss.
+    A leaf is a requires_grad input of a recorded node that no node on the
+    tape produced: a parameter or an input.  Returns a map from every leaf to
+    its gradient (zeros if the loss does not depend on it); intermediate
+    tensors are not keys.  The replay consumes the tape, so ``len(tape)`` is
+    0 afterwards.  Raises ``ContractError`` for a non-scalar loss and for a
+    loss no node on the tape produced (including a second call on the same
+    tape).
     """
     if not isinstance(loss, Tensor):
         raise ContractError(f"loss must be a Tensor, got {type(loss).__name__}")
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
+    nodes = tape._nodes
+    produced = {id(output) for _, output, _ in nodes}
+    if id(loss) not in produced:
+        raise ContractError("loss was not recorded on this tape (or the tape was consumed)")
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    participants: dict[int, Tensor] = {}
-    if loss.requires_grad:
-        participants[id(loss)] = loss
-    for node in tape._nodes:
-        for t in node.inputs:
-            if t.requires_grad:
-                participants.setdefault(id(t), t)
-        if node.output.requires_grad:
-            participants.setdefault(id(node.output), node.output)
-
-    for node in reversed(tape._nodes):
-        out_grad = grads.get(id(node.output))
+    leaves: dict[int, Tensor] = {}
+    while nodes:
+        inputs, output, backward_fn = nodes.pop()
+        for t in inputs:
+            if t.requires_grad and id(t) not in produced:
+                leaves.setdefault(id(t), t)
+        out_grad = grads.pop(id(output), None)
         if out_grad is None:
             continue
-        in_grads = node.backward_fn(out_grad)
-        if len(in_grads) != len(node.inputs):
+        in_grads = backward_fn(out_grad)
+        if len(in_grads) != len(inputs):
             raise ContractError(
                 f"backward closure returned {len(in_grads)} gradients for "
-                f"{len(node.inputs)} inputs"
+                f"{len(inputs)} inputs"
             )
-        for t, g in zip(node.inputs, in_grads):
+        for t, g in zip(inputs, in_grads):
             if g is None or not t.requires_grad:
                 continue
             if g.shape != t.data.shape:
@@ -214,18 +204,12 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
             acc = grads.get(id(t))
             grads[id(t)] = g if acc is None else acc + g
 
-    result: dict[Tensor, np.ndarray] = {}
-    for tid, t in participants.items():
-        g = grads.get(tid)
-        if g is None:
-            g = np.zeros_like(t.data)
-        t.grad = g
-        result[t] = g
-    return result
+    return {t: grads[tid] if tid in grads else np.zeros_like(t.data)
+            for tid, t in leaves.items()}
 
 
 class MAddCounter:
-    """Thread-safe accumulator of multiply-add counts.
+    """Lock-protected accumulator of multiply-add counts.
 
     Monotone non-decreasing between explicit resets.  Only matmul/linear
     primitives add to it; softmax, normalization, and elementwise work do not.

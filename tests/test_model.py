@@ -36,6 +36,14 @@ class TestModelConfig:
         with pytest.raises(ContractError):
             ModelConfig.from_json(json.dumps(raw))
 
+    def test_patch_size_field_rejected(self):
+        # the stem always reduces by 8x; the grid follows from image_size alone
+        raw = json.loads(PRESETS["tiny"].to_json())
+        assert PRESETS["tiny"].stage1_grid == 32 // 8
+        raw["patch_size"] = 8
+        with pytest.raises(ContractError):
+            ModelConfig.from_json(json.dumps(raw))
+
     def test_bad_stage1_kind_rejected(self):
         with pytest.raises(ContractError):
             ModelConfig(stage1_kind="dense")

@@ -10,6 +10,7 @@ from outlooker import (
     OracleCase,
     OracleReport,
     WindowGeometry,
+    backward,
     finite_diff_grad,
     fold_array,
     gradient_check,
@@ -20,6 +21,7 @@ from outlooker import (
     relative_error,
     unfold_array,
 )
+from outlooker import checks
 from outlooker import oracle as oracle_module
 
 
@@ -130,6 +132,15 @@ class TestSuites:
         report = gradient_check(seeds_per_kind=1, kinds=("softmax", "windows", "sa"))
         assert report.passed
 
-    def test_corrupt_gradients_are_caught(self):
-        report = gradient_check(seeds_per_kind=1, kinds=("sa",), corrupt=True)
+    def test_corrupt_gradients_are_caught(self, monkeypatch):
+        # bend one coordinate of one tape gradient per case
+        def bent_backward(loss, tape):
+            grads = backward(loss, tape)
+            leaf = next(iter(grads))
+            grads[leaf] = grads[leaf].copy()
+            grads[leaf].flat[0] += 0.5
+            return grads
+
+        monkeypatch.setattr(checks, "backward", bent_backward)
+        report = gradient_check(seeds_per_kind=1, kinds=("sa",))
         assert not report.passed

@@ -55,7 +55,6 @@ class TestTapeAndBackward:
             loss = ops.sum_all(y)
             grads = backward(loss, tape)
         np.testing.assert_allclose(grads[x], [2.0, 2.0])
-        np.testing.assert_allclose(x.grad, [2.0, 2.0])
 
     def test_chain_through_matmul(self):
         a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
@@ -83,6 +82,41 @@ class TestTapeAndBackward:
         # `unused` participated in a recorded op off the loss path
         np.testing.assert_allclose(grads[unused], np.zeros(2))
         assert first.shape == (2,)
+
+    def test_returns_leaf_gradients_only(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        b = Tensor(rng.standard_normal(2), requires_grad=True)
+        with Tape() as tape:
+            y = ops.linear(x, w, b)
+            loss = ops.sum_all(y)
+        grads = backward(loss, tape)
+        assert set(grads) == {x, w, b}
+        assert y not in grads and loss not in grads
+
+    def test_backward_consumes_the_tape(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            loss = ops.sum_all(ops.scale(x, 2.0))
+        assert len(tape) == 2
+        backward(loss, tape)
+        assert len(tape) == 0
+
+    def test_second_backward_on_a_consumed_tape_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            loss = ops.sum_all(ops.scale(x, 2.0))
+        backward(loss, tape)
+        with pytest.raises(ContractError):
+            backward(loss, tape)
+
+    def test_loss_computed_off_the_tape_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        loss = ops.sum_all(ops.scale(x, 2.0))
+        with Tape() as tape:
+            ops.sum_all(ops.scale(x, 3.0))
+        with pytest.raises(ContractError):
+            backward(loss, tape)
 
     def test_nested_tapes_restore_outer(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
