@@ -60,7 +60,7 @@ from .oracle import (
 )
 from .tensor import MADD_COUNTER, MAddCounter, Tape, Tensor, backward, trunc_normal
 from .train import AdamW, TrainRecord, accuracy, cross_entropy, gen_synthetic, train_toy
-from .windows import WindowGeometry, coverage, fold, fold_array, in_bounds_mask, unfold, unfold_array
+from .windows import WindowGeometry, fold, fold_array, in_bounds_mask, unfold, unfold_array
 
 __version__ = "0.1.0"
 
@@ -74,7 +74,7 @@ __all__ = [
     "SelfAttention", "ShapeError", "Tape", "Tensor", "TrainRecord",
     "TransformerBlock", "TwoStageModel", "WindowGeometry", "accuracy",
     "analytic_madds", "backward", "build_layer", "build_model", "count_params",
-    "count_params_config", "coverage", "cross_entropy", "drop_path_schedule",
+    "count_params_config", "cross_entropy", "drop_path_schedule",
     "finite_diff_grad", "fold", "fold_array", "gen_synthetic", "gradient_check",
     "in_bounds_mask", "layer_input", "madds", "max_abs_error", "measured_madds",
     "mlp_hidden", "oracle_check", "oracle_conv", "oracle_fold",

@@ -44,6 +44,32 @@ def _zeros(shape, dtype) -> Tensor:
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
 
 
+class Module:
+    """Base of every layer, block and model: parameters named by attribute path.
+
+    A ``Tensor`` attribute is a parameter, named by its attribute; a Module
+    attribute contributes its parameters under ``name.``, and a list of
+    Modules under ``name.i.``.  Order is attribute assignment order in
+    ``__init__`` (``vars`` keeps it), so ``stage1.2.mixer.w_v`` names the
+    value projection of the third stage-1 block.
+    """
+
+    def named_params(self) -> list[tuple[str, Tensor]]:
+        out = []
+        for name, value in vars(self).items():
+            if isinstance(value, Tensor):
+                out.append((name, value))
+            elif isinstance(value, Module):
+                out += [(f"{name}.{k}", p) for k, p in value.named_params()]
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    out += [(f"{name}.{i}.{k}", p) for k, p in item.named_params()]
+        return out
+
+    def parameters(self) -> list[Tensor]:
+        return [p for _, p in self.named_params()]
+
+
 def _check_heads(channels: int, heads: int) -> None:
     if heads < 1 or channels % heads != 0:
         raise ShapeError(f"channels {channels} not divisible by heads {heads}")
@@ -86,7 +112,7 @@ def dot_product_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     return merge_heads(ops.matmul(attn, split_heads(v, heads)))
 
 
-class MultiHeadCore:
+class MultiHeadCore(Module):
     """The q/k/v/o projections (C×C, with bias) of the dot-product attention layers."""
 
     def __init__(self, rng, channels: int, heads: int, dtype=np.float32):
@@ -97,12 +123,8 @@ class MultiHeadCore:
             setattr(self, f"w_{name}", _param(rng, (channels, channels), dtype))
             setattr(self, f"b_{name}", _zeros(channels, dtype))
 
-    def named_params(self):
-        return [(f"{kind}_{name}", getattr(self, f"{kind}_{name}"))
-                for name in ("q", "k", "v", "o") for kind in ("w", "b")]
 
-
-class OutlookAttention:
+class OutlookAttention(Module):
     """Window attention whose mixing weights come from the center token.
 
     For every window center the layer maps the center token (the stride×stride
@@ -133,10 +155,6 @@ class OutlookAttention:
         self.w_o = _param(rng, (channels, channels), dtype)
         self.b_o = _zeros(channels, dtype)
 
-    def named_params(self):
-        return [("w_v", self.w_v), ("w_a", self.w_a), ("b_a", self.b_a),
-                ("w_o", self.w_o), ("b_o", self.b_o)]
-
     def attend(self, x: Tensor) -> Tensor:
         """Multi-head window aggregation, before the output projection."""
         if x.ndim < 3 or x.shape[-1] != self.channels:
@@ -149,12 +167,9 @@ class OutlookAttention:
         values = ops.linear(x, self.w_v)                      # (..., H, W, C)
         stack = split_heads(unfold(values, geom), self.heads)  # (..., h·w, heads, K², cn)
 
+        # default padding K//2 (K odd) gives (H-1)//s + 1 = ceil(H/s) window
+        # rows: avg_pool's grid, so each window has its pooled center token
         pooled = ops.avg_pool(x, self.stride)                 # identity at stride 1
-        if pooled.shape[-3:-1] != (h, w):
-            raise GeometryError(
-                f"pooled grid {pooled.shape[-3]}x{pooled.shape[-2]} does not match "
-                f"window grid {h}x{w}; use the default padding"
-            )
         logits = ops.linear(pooled, self.w_a, self.b_a)       # (..., h, w, heads·K⁴)
         attn = ops.softmax(ops.reshape(logits, (*lead, h * w, self.heads, k2, k2)), axis=-1)
         mixed = merge_heads(ops.matmul(attn, stack))          # (..., h·w, K², C)
@@ -216,7 +231,7 @@ class SelfAttention(MultiHeadCore):
     __call__ = forward
 
 
-class Conv2d:
+class Conv2d(Module):
     """K×K cross-correlation with zero padding ⌊K/2⌋ and bias."""
 
     kind = "conv"
@@ -231,9 +246,6 @@ class Conv2d:
         self.stride = stride
         self.weight = _param(rng, (kernel, kernel, cin, cout), dtype)
         self.bias = _zeros(cout, dtype)
-
-    def named_params(self):
-        return [("weight", self.weight), ("bias", self.bias)]
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim < 3 or x.shape[-1] != self.cin:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .attention import (Conv2d, LocalSelfAttention, MultiHeadCore, OutlookAttention,
+from .attention import (Conv2d, LocalSelfAttention, Module, MultiHeadCore, OutlookAttention,
                         SelfAttention, _param, _zeros, dot_product_attention)
 from .errors import ContractError, ShapeError
 from .tensor import Tensor
@@ -38,24 +38,20 @@ def stochastic_depth_mask(rate: float, batch: int, rng: np.random.Generator) -> 
     return keep.astype(np.float64) / (1.0 - rate)
 
 
-class LayerNorm:
+class LayerNorm(Module):
     """Learnable scale/shift around last-axis normalization."""
 
-    def __init__(self, channels: int, eps: float = 1e-5, dtype=np.float32):
-        self.eps = eps
+    def __init__(self, channels: int, dtype=np.float32):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
 
-    def named_params(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
     def forward(self, x: Tensor) -> Tensor:
-        return ops.layer_norm(x, self.gamma, self.beta, self.eps)
+        return ops.layer_norm(x, self.gamma, self.beta)
 
     __call__ = forward
 
 
-class Mlp:
+class Mlp(Module):
     """linear → gelu → linear, hidden width = ratio × channels."""
 
     def __init__(self, rng, channels: int, ratio: float, dtype=np.float32):
@@ -65,23 +61,13 @@ class Mlp:
         self.w2 = _param(rng, (hidden, channels), dtype)
         self.b2 = _zeros(channels, dtype)
 
-    def named_params(self):
-        return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
-
     def forward(self, x: Tensor) -> Tensor:
         return ops.linear(ops.gelu(ops.linear(x, self.w1, self.b1)), self.w2, self.b2)
 
     __call__ = forward
 
 
-def _child_params(pairs):
-    out = []
-    for prefix, module in pairs:
-        out += [(f"{prefix}.{name}", p) for name, p in module.named_params()]
-    return out
-
-
-class _ResidualBlock:
+class _ResidualBlock(Module):
     """Shared plumbing: two pre-norm residual branches with optional drop."""
 
     def __init__(self, mixer, rng, channels, mlp_ratio, drop_path, dtype):
@@ -92,11 +78,6 @@ class _ResidualBlock:
         if not (0.0 <= drop_path < 1.0):
             raise ContractError(f"drop_path must be in [0, 1), got {drop_path}")
         self.drop_path = float(drop_path)
-
-    def named_params(self):
-        return _child_params(
-            [("norm1", self.norm1), ("mixer", self.mixer), ("norm2", self.norm2), ("mlp", self.mlp)]
-        )
 
     def _branch(self, t: Tensor, training: bool, rng) -> Tensor:
         if not training or self.drop_path == 0.0:
@@ -159,15 +140,11 @@ class ClassAttentionBlock(MultiHeadCore):
 
     def __init__(self, rng, channels: int, heads: int, mlp_ratio: float = 3.0,
                  dtype=np.float32):
+        # assigned before the projections, so norm1.* leads the parameter order
         self.norm1 = LayerNorm(channels, dtype=dtype)
         super().__init__(rng, channels, heads, dtype)
         self.norm2 = LayerNorm(channels, dtype=dtype)
         self.mlp = Mlp(rng, channels, mlp_ratio, dtype=dtype)
-
-    def named_params(self):
-        return _child_params([("norm1", self.norm1)]) + super().named_params() + _child_params(
-            [("norm2", self.norm2), ("mlp", self.mlp)]
-        )
 
     def forward(self, cls_token: Tensor, patches: Tensor) -> Tensor:
         if cls_token.ndim < 2 or cls_token.shape[-2:] != (1, self.channels):

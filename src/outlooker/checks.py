@@ -123,7 +123,7 @@ def _gradcheck_setup(kind: str, rng: np.random.Generator):
     if kind == "cablock":
         layer = ClassAttentionBlock(rng, 4, 2, 3.0, dtype=np.float64)
         cls_token, patches = leaf(2, 1, 4), leaf(2, 5, 4)
-        return ([cls_token, patches] + [p for _, p in layer.named_params()],
+        return ([cls_token, patches] + layer.parameters(),
                 lambda: layer.forward(cls_token, patches))
 
     if kind == "oa":
@@ -143,7 +143,7 @@ def _gradcheck_setup(kind: str, rng: np.random.Generator):
     else:
         raise ContractError(f"unknown gradcheck kind {kind!r}; expected {GRADCHECK_KINDS}")
     x = leaf(2, *shape)
-    return [x] + [p for _, p in layer.named_params()], lambda: layer.forward(x)
+    return [x] + layer.parameters(), lambda: layer.forward(x)
 
 
 def gradient_check(

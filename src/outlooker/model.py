@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import ops
-from .attention import Conv2d, CostQuery, _oa_madds, _param, _zeros, madds
+from .attention import Conv2d, CostQuery, Module, _oa_madds, _param, _zeros, madds
 from .blocks import (
     ClassAttentionBlock,
     ConvBlock,
@@ -42,6 +42,7 @@ from .tensor import Tensor
 STAGE1_KINDS = ("outlook", "lsa", "conv")
 STEM_HIDDEN = 64
 STEM_PATCH = 4   # after the stride-2 conv, so the stem reduces the image 2·4 = 8×
+DOWNSAMPLE = 2   # patch merge between the stages, so stage 2 sees the image 16× reduced
 
 
 @dataclass
@@ -63,7 +64,6 @@ class ModelConfig:
     num_class_blocks: int = 2
     drop_path_rate: float = 0.0
     stage1_kind: str = "outlook"
-    downsample: int = 2
 
     def __post_init__(self):
         if self.stage1_kind not in STAGE1_KINDS:
@@ -87,7 +87,7 @@ class ModelConfig:
 
     @property
     def stage2_grid(self) -> int:
-        return self.stage1_grid // self.downsample
+        return self.stage1_grid // DOWNSAMPLE
 
     @property
     def total_layers(self) -> int:
@@ -136,11 +136,11 @@ REFERENCE_PARAMS = {"d1": 26.6e6, "d2": 58.7e6, "d3": 86.3e6, "d4": 193e6, "d5":
 REFERENCE_MADDS = {"d1": 6.8e9, "d2": 14.1e9, "d3": 20.6e9, "d4": 43.8e9, "d5": 69.0e9}
 
 
-class Stem:
+class Stem(Module):
     """conv7×7/2 → two conv3×3 (LN+GELU after each conv) → 4×4 patch projection."""
 
-    def __init__(self, rng, out_dim: int, hidden: int = STEM_HIDDEN, dtype=np.float32):
-        self.hidden = hidden
+    def __init__(self, rng, out_dim: int, dtype=np.float32):
+        hidden = STEM_HIDDEN
         self.conv1 = Conv2d(rng, 7, 3, hidden, stride=2, dtype=dtype)
         self.norm1 = LayerNorm(hidden, dtype=dtype)
         self.conv2 = Conv2d(rng, 3, hidden, hidden, dtype=dtype)
@@ -149,12 +149,6 @@ class Stem:
         self.norm3 = LayerNorm(hidden, dtype=dtype)
         self.proj_w = _param(rng, (STEM_PATCH ** 2 * hidden, out_dim), dtype)
         self.proj_b = _zeros(out_dim, dtype)
-
-    def named_params(self):
-        out = []
-        for name in ("conv1", "norm1", "conv2", "norm2", "conv3", "norm3"):
-            out += [(f"{name}.{k}", p) for k, p in getattr(self, name).named_params()]
-        return out + [("proj_w", self.proj_w), ("proj_b", self.proj_b)]
 
     def forward(self, x: Tensor) -> Tensor:
         t = ops.gelu(self.norm1(self.conv1(x)))
@@ -192,7 +186,7 @@ def _stage1_block(kind: str, rng, config: ModelConfig, rate: float, dtype):
                      config.outlooker_mlp_ratio, rate, dtype=dtype)
 
 
-class TwoStageModel:
+class TwoStageModel(Module):
     """Image classifier built from a ModelConfig (see module docstring)."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator, dtype=np.float32):
@@ -206,7 +200,7 @@ class TwoStageModel:
             _stage1_block(config.stage1_kind, rng, config, rates[i], dtype)
             for i in range(config.num_outlookers)
         ]
-        self.down_w = _param(rng, (config.downsample ** 2 * c1, c2), dtype)
+        self.down_w = _param(rng, (DOWNSAMPLE ** 2 * c1, c2), dtype)
         self.down_b = _zeros(c2, dtype)
         grid2 = config.stage2_grid
         self.pos_embed = _param(rng, (grid2 * grid2, c2), dtype)
@@ -224,23 +218,6 @@ class TwoStageModel:
         self.final_norm = LayerNorm(c2, dtype=dtype)
         self.head_w = _param(rng, (c2, config.num_classes), dtype)
         self.head_b = _zeros(config.num_classes, dtype)
-
-    def named_params(self):
-        out = [(f"stem.{k}", p) for k, p in self.stem.named_params()]
-        for i, blk in enumerate(self.stage1):
-            out += [(f"stage1.{i}.{k}", p) for k, p in blk.named_params()]
-        out += [("down_w", self.down_w), ("down_b", self.down_b), ("pos_embed", self.pos_embed)]
-        for i, blk in enumerate(self.stage2):
-            out += [(f"stage2.{i}.{k}", p) for k, p in blk.named_params()]
-        out += [("cls_token", self.cls_token)]
-        for i, blk in enumerate(self.class_blocks):
-            out += [(f"class_blocks.{i}.{k}", p) for k, p in blk.named_params()]
-        out += [(f"final_norm.{k}", p) for k, p in self.final_norm.named_params()]
-        out += [("head_w", self.head_w), ("head_b", self.head_b)]
-        return out
-
-    def parameters(self) -> list[Tensor]:
-        return [p for _, p in self.named_params()]
 
     def forward(self, images, training: bool = False, rng=None) -> Tensor:
         """(B, S, S, 3) images (Tensor or ndarray) → (B, num_classes) logits.
@@ -263,7 +240,7 @@ class TwoStageModel:
         t = self.stem(images)
         for blk in self.stage1:
             t = blk.forward(t, training=training, rng=rng)
-        t = ops.linear(patchify(t, self.config.downsample), self.down_w, self.down_b)
+        t = ops.linear(patchify(t, DOWNSAMPLE), self.down_w, self.down_b)
         t = ops.reshape(t, (batch, self.config.stage2_grid ** 2, self.config.stage2_dim))
         t = ops.add(t, ops.expand(self.pos_embed, batch))
         for blk in self.stage2:
@@ -319,7 +296,7 @@ def count_params_config(config: ModelConfig) -> int:
     oblock = 2 * 2 * c1 + _stage1_mixer_params(config) + _mlp_params(c1, config.outlooker_mlp_ratio)
     tblock = 2 * 2 * c2 + 4 * _linear_params(c2, c2) + _mlp_params(c2, config.transformer_mlp_ratio)
     cablock = tblock  # same projections, norms, and MLP shape
-    down = _linear_params(config.downsample ** 2 * c1, c2)
+    down = _linear_params(DOWNSAMPLE ** 2 * c1, c2)
     pos = config.stage2_grid ** 2 * c2
     head = _linear_params(c2, config.num_classes)
     return (stem + config.num_outlookers * oblock + down + pos
@@ -342,7 +319,7 @@ def analytic_madds(config: ModelConfig, resolution: int | None = None) -> int:
         raise ShapeError(f"resolution must be divisible by 16, got {size}")
     half = size // 2
     g1 = half // STEM_PATCH
-    g2 = g1 // config.downsample
+    g2 = g1 // DOWNSAMPLE
     hw1, length = g1 * g1, g2 * g2
     c1, c2, k = config.stage1_dim, config.stage2_dim, config.kernel
 
@@ -358,7 +335,7 @@ def analytic_madds(config: ModelConfig, resolution: int | None = None) -> int:
     h1 = mlp_hidden(c1, config.outlooker_mlp_ratio)
     stage1 = config.num_outlookers * (mixer + 2 * hw1 * c1 * h1)
 
-    down = length * (config.downsample ** 2 * c1) * c2
+    down = length * (DOWNSAMPLE ** 2 * c1) * c2
 
     h2 = mlp_hidden(c2, config.transformer_mlp_ratio)
     sa = madds(CostQuery(length, 1, c2), "sa")

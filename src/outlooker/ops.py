@@ -4,7 +4,7 @@ Every function takes and returns ``Tensor``s, computes the forward value with
 numpy, and registers a backward closure on the active tape (see ``tensor``).
 Shape checks are strict: elementwise ops require identical shapes, batched
 ``matmul`` requires identical leading dims.  Operands of ``matmul``,
-``linear``, ``add``, ``sub`` and ``mul`` must share one dtype; float32 is
+``linear``, ``add`` and ``mul`` must share one dtype; float32 is
 never silently promoted to float64.  Scalar constants are plain python
 floats so float32 data stays float32.
 
@@ -100,14 +100,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
     _same_dtype("add", a, b)
     return from_op(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise difference of two same-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"sub shapes differ: {a.shape} vs {b.shape}")
-    _same_dtype("sub", a, b)
-    return from_op(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

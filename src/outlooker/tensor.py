@@ -76,26 +76,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
-    # Light arithmetic sugar; the real work lives in ops.
-    def __add__(self, other):
-        from . import ops
-
-        return ops.add(self, other)
-
-    def __sub__(self, other):
-        from . import ops
-
-        return ops.sub(self, other)
-
-    def __mul__(self, other):
-        from . import ops
-
-        if isinstance(other, Tensor):
-            return ops.mul(self, other)
-        return ops.scale(self, float(other))
-
-    __rmul__ = __mul__
-
 
 BackwardFn = Callable[[np.ndarray], Sequence["np.ndarray | None"]]
 Node = tuple[tuple[Tensor, ...], Tensor, BackwardFn]

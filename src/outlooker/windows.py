@@ -62,11 +62,6 @@ class WindowGeometry:
     def windows(self) -> int:
         return self.out_height * self.out_width
 
-    def offsets(self) -> list[tuple[int, int]]:
-        """In-window offsets in row-major slot order."""
-        k = self.kernel
-        return [(dp, dq) for dp in range(k) for dq in range(k)]
-
 
 def unfold_array(x: np.ndarray, geom: WindowGeometry) -> np.ndarray:
     """Forward kernel on a raw array: (..., H, W, C) → (..., windows, K², C)."""
@@ -131,12 +126,6 @@ def fold(y: Tensor, geom: WindowGeometry) -> Tensor:
         return (unfold_array(g, geom),)
 
     return from_op(data, (y,), backward_fn)
-
-
-def coverage(geom: WindowGeometry) -> np.ndarray:
-    """How many (window, slot) pairs touch each map location: fold(unfold(1))."""
-    ones = np.ones((geom.height, geom.width, 1), dtype=np.float64)
-    return fold_array(unfold_array(ones, geom), geom)[:, :, 0]
 
 
 def in_bounds_mask(geom: WindowGeometry) -> np.ndarray:

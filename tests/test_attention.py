@@ -13,11 +13,12 @@ from outlooker import (
     Tensor,
     WindowGeometry,
     build_layer,
-    coverage,
+    fold_array,
     layer_input,
     madds,
     measured_madds,
     ops,
+    unfold_array,
 )
 from outlooker.attention import merge_heads, split_heads
 from outlooker.errors import GeometryError, ShapeError
@@ -96,7 +97,8 @@ class TestOutlookIdentities:
         layer.w_v.data[...] = np.eye(4)
         x = Tensor(np.ones((5, 5, 4)), dtype=np.float64)
         out = layer.attend(x).data
-        cov = coverage(WindowGeometry(5, 5, 3))
+        geom = WindowGeometry(5, 5, 3)
+        cov = fold_array(unfold_array(np.ones((5, 5, 1)), geom), geom)[:, :, 0]
         np.testing.assert_allclose(out[2, 2, :], 9.0, atol=1e-12)
         assert np.all(out <= cov[:, :, None] + 1e-12)
 

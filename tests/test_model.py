@@ -36,11 +36,14 @@ class TestModelConfig:
         with pytest.raises(ContractError):
             ModelConfig.from_json(json.dumps(raw))
 
-    def test_patch_size_field_rejected(self):
-        # the stem always reduces by 8x; the grid follows from image_size alone
+    @pytest.mark.parametrize("field,value", [("patch_size", 8), ("downsample", 2)])
+    def test_patch_size_field_rejected(self, field, value):
+        # the stem always reduces by 8x and the stage merge by 2x; the grids
+        # follow from image_size alone
         raw = json.loads(PRESETS["tiny"].to_json())
         assert PRESETS["tiny"].stage1_grid == 32 // 8
-        raw["patch_size"] = 8
+        assert PRESETS["tiny"].stage2_grid == 32 // 16
+        raw[field] = value
         with pytest.raises(ContractError):
             ModelConfig.from_json(json.dumps(raw))
 

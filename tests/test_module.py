@@ -1,0 +1,67 @@
+"""The module contract: parameters named by attribute path, in assignment order."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from outlooker import PRESETS, ClassAttentionBlock, OutlookerBlock, build_model
+from outlooker.model import Stem
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+NORM = ["gamma", "beta"]
+MLP = ["w1", "b1", "w2", "b2"]
+
+
+def names(module):
+    return [name for name, _ in module.named_params()]
+
+
+def prefixed(prefix, suffixes):
+    return [f"{prefix}.{s}" for s in suffixes]
+
+
+def test_outlooker_block_order():
+    block = OutlookerBlock(np.random.default_rng(0), 8, 2)
+    assert names(block) == (prefixed("norm1", NORM)
+                            + prefixed("mixer", ["w_v", "w_a", "b_a", "w_o", "b_o"])
+                            + prefixed("norm2", NORM) + prefixed("mlp", MLP))
+
+
+def test_class_attention_block_order():
+    # norm1 is assigned before the inherited projections, so it comes first
+    block = ClassAttentionBlock(np.random.default_rng(0), 8, 2)
+    assert names(block) == (prefixed("norm1", NORM)
+                            + ["w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o"]
+                            + prefixed("norm2", NORM) + prefixed("mlp", MLP))
+
+
+def test_stem_order():
+    stem = Stem(np.random.default_rng(0), 16)
+    want = []
+    for i in (1, 2, 3):
+        want += prefixed(f"conv{i}", ["weight", "bias"]) + prefixed(f"norm{i}", NORM)
+    assert names(stem) == want + ["proj_w", "proj_b"]
+
+
+def test_tiny_model_names_and_parameters_agree():
+    model = build_model(PRESETS["tiny"], seed=0)
+    got = names(model)
+    assert len(got) == 112
+    assert (got[0], got[-1]) == ("stem.conv1.weight", "head_b")
+    assert "stage1.1.mixer.w_v" in got and "class_blocks.1.mlp.b2" in got
+    assert [id(p) for p in model.parameters()] == [id(p) for _, p in model.named_params()]
+
+
+def _traced_classes():
+    namespace: dict = {"__name__": "tracer"}
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), namespace)
+    return [cls for cls, _ in namespace["MODULES"]]
+
+
+@pytest.mark.parametrize("cls", _traced_classes(), ids=lambda cls: cls.__name__)
+def test_call_is_forward(cls):
+    # the benchmark tracer wraps forward and __call__ separately; a __call__
+    # that called forward would nest two spans of the same name
+    assert cls.__call__ is cls.forward

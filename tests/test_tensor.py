@@ -34,13 +34,6 @@ class TestTensor:
         with pytest.raises(ContractError):
             Tensor(np.zeros((2, 2))).item()
 
-    def test_operator_sugar(self):
-        a = Tensor(np.array([1.0, 2.0]))
-        b = Tensor(np.array([10.0, 20.0]))
-        np.testing.assert_allclose((a + b).data, [11.0, 22.0])
-        np.testing.assert_allclose((a - b).data, [-9.0, -18.0])
-        np.testing.assert_allclose((a * b).data, [10.0, 40.0])
-
 
 class TestTapeAndBackward:
     def test_no_recording_without_tape(self):

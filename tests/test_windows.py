@@ -1,4 +1,4 @@
-"""Window geometry, unfold/fold, adjointness, coverage, bounds masks."""
+"""Window geometry, unfold/fold, adjointness, bounds masks."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from outlooker import (
     Tensor,
     WindowGeometry,
     backward,
-    coverage,
     fold,
     fold_array,
     in_bounds_mask,
@@ -59,12 +58,6 @@ class TestWindowGeometry:
         assert (geom.out_height, geom.out_width) == (14, 14)
         assert geom.windows == 196
 
-    def test_offsets_row_major_slots(self):
-        geom = WindowGeometry(4, 6, 3, stride=2)
-        offs = list(geom.offsets())
-        assert len(offs) == geom.kernel**2
-        assert offs[:4] == [(0, 0), (0, 1), (0, 2), (1, 0)]
-
 
 class TestUnfoldFoldValues:
     def test_corner_window_reads_padding_as_zero(self):
@@ -79,13 +72,6 @@ class TestUnfoldFoldValues:
         ones = np.ones((3, 3, 1))
         got = fold_array(unfold_array(ones, geom), geom)[:, :, 0]
         np.testing.assert_allclose(got, [[4, 6, 4], [6, 9, 6], [4, 6, 4]])
-
-    def test_coverage_matches_fold_of_unfolded_ones(self):
-        for geom in random_geometries():
-            ones = np.ones((geom.height, geom.width, 1))
-            np.testing.assert_allclose(
-                coverage(geom), fold_array(unfold_array(ones, geom), geom)[:, :, 0]
-            )
 
     def test_unfold_stride_two_picks_even_centers(self):
         x = np.arange(16.0).reshape(4, 4, 1)
@@ -119,7 +105,7 @@ class TestAdjointness:
         probe = rng.standard_normal((geom.windows, 9, 2))
         with Tape() as tape:
             y = unfold(x, geom)
-            loss = y * Tensor(probe, dtype=np.float64)
+            loss = ops.mul(y, Tensor(probe, dtype=np.float64))
             grads = backward(ops.sum_all(loss), tape)
         np.testing.assert_allclose(grads[x], fold_array(probe, geom), rtol=1e-12)
 
@@ -131,7 +117,7 @@ class TestAdjointness:
         probe = rng.standard_normal((5, 4, 2))
         with Tape() as tape:
             x = fold(y, geom)
-            grads = backward(ops.sum_all(x * Tensor(probe, dtype=np.float64)), tape)
+            grads = backward(ops.sum_all(ops.mul(x, Tensor(probe, dtype=np.float64))), tape)
         np.testing.assert_allclose(grads[y], unfold_array(probe, geom), rtol=1e-12)
 
 
