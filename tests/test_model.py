@@ -36,16 +36,16 @@ class TestModelConfig:
         with pytest.raises(ContractError):
             ModelConfig.from_json(json.dumps(raw))
 
-    @pytest.mark.parametrize("field,value", [("patch_size", 8), ("downsample", 2)])
-    def test_patch_size_field_rejected(self, field, value):
+    def test_patch_size_field_rejected(self):
         # the stem always reduces by 8x and the stage merge by 2x; the grids
-        # follow from image_size alone
-        raw = json.loads(PRESETS["tiny"].to_json())
+        # follow from image_size alone, so neither retired field is accepted
         assert PRESETS["tiny"].stage1_grid == 32 // 8
         assert PRESETS["tiny"].stage2_grid == 32 // 16
-        raw[field] = value
-        with pytest.raises(ContractError):
-            ModelConfig.from_json(json.dumps(raw))
+        for field, value in (("patch_size", 8), ("downsample", 2)):
+            raw = json.loads(PRESETS["tiny"].to_json())
+            raw[field] = value
+            with pytest.raises(ContractError):
+                ModelConfig.from_json(json.dumps(raw))
 
     def test_bad_stage1_kind_rejected(self):
         with pytest.raises(ContractError):

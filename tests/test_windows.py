@@ -1,4 +1,4 @@
-"""Window geometry, unfold/fold, adjointness, bounds masks."""
+"""Window geometry, unfold/fold, adjointness, coverage, bounds masks."""
 
 import numpy as np
 import pytest
@@ -58,6 +58,20 @@ class TestWindowGeometry:
         assert (geom.out_height, geom.out_width) == (14, 14)
         assert geom.windows == 196
 
+    def test_offsets_row_major_slots(self):
+        # slot k of window (i, j) reads padded[s*i + k // K, s*j + k % K]
+        geom = WindowGeometry(4, 6, 3, stride=2)
+        k, s, p = geom.kernel, geom.stride, geom.padding
+        x = np.arange(1.0, 25.0).reshape(4, 6, 1)
+        padded = np.pad(x[:, :, 0], p)
+        windows = unfold_array(x, geom)[:, :, 0].reshape(geom.out_height, geom.out_width, k * k)
+        assert windows.shape[-1] == geom.kernel**2
+        for i in range(geom.out_height):
+            for j in range(geom.out_width):
+                for slot in range(k * k):
+                    want = padded[s * i + slot // k, s * j + slot % k]
+                    assert windows[i, j, slot] == want
+
 
 class TestUnfoldFoldValues:
     def test_corner_window_reads_padding_as_zero(self):
@@ -72,6 +86,26 @@ class TestUnfoldFoldValues:
         ones = np.ones((3, 3, 1))
         got = fold_array(unfold_array(ones, geom), geom)[:, :, 0]
         np.testing.assert_allclose(got, [[4, 6, 4], [6, 9, 6], [4, 6, 4]])
+
+    def test_coverage_matches_fold_of_unfolded_ones(self):
+        # per axis, count the (window, offset) pairs landing on each index;
+        # the map's coverage is the outer product of the two counts
+        def axis_counts(extent, out, geom):
+            counts = np.zeros(extent)
+            for i in range(out):
+                for d in range(geom.kernel):
+                    at = geom.stride * i + d - geom.padding
+                    if 0 <= at < extent:
+                        counts[at] += 1
+            return counts
+
+        for geom in random_geometries():
+            ones = np.ones((geom.height, geom.width, 1))
+            want = np.outer(
+                axis_counts(geom.height, geom.out_height, geom),
+                axis_counts(geom.width, geom.out_width, geom),
+            )
+            np.testing.assert_allclose(fold_array(unfold_array(ones, geom), geom)[:, :, 0], want)
 
     def test_unfold_stride_two_picks_even_centers(self):
         x = np.arange(16.0).reshape(4, 4, 1)
