@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .errors import GeometryError, ShapeError
+from .errors import ShapeError
 from .tensor import MADD_COUNTER, Tensor, trunc_normal
-from .windows import WindowGeometry, fold, in_bounds_mask, unfold
+from .windows import WindowGeometry, check_window, fold, in_bounds_mask, unfold
 
 INIT_STD = 0.02
 
@@ -135,15 +135,10 @@ class OutlookAttention(Module):
     The value projection carries no bias; the logit and output projections do.
     """
 
-    kind = "oa"
-
     def __init__(self, rng, channels: int, heads: int, kernel: int = 3, stride: int = 1,
                  dtype=np.float32):
         _check_heads(channels, heads)
-        if kernel < 1 or kernel % 2 == 0:
-            raise GeometryError(f"kernel must be odd and positive, got K={kernel}")
-        if stride < 1:
-            raise GeometryError(f"stride must be >= 1, got {stride}")
+        check_window(kernel, stride)
         self.channels = channels
         self.heads = heads
         self.kernel = kernel
@@ -184,14 +179,10 @@ class OutlookAttention(Module):
 class LocalSelfAttention(MultiHeadCore):
     """Dot-product attention restricted to each token's K×K neighborhood."""
 
-    kind = "lsa"
-
     def __init__(self, rng, channels: int, heads: int, kernel: int = 3, dtype=np.float32):
         super().__init__(rng, channels, heads, dtype)
-        if kernel < 1 or kernel % 2 == 0:
-            raise GeometryError(f"kernel must be odd and positive, got K={kernel}")
+        check_window(kernel)
         self.kernel = kernel
-        self.stride = 1
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim < 3 or x.shape[-1] != self.channels:
@@ -217,8 +208,6 @@ class LocalSelfAttention(MultiHeadCore):
 class SelfAttention(MultiHeadCore):
     """Scaled dot-product attention over a flat (..., L, C) token list."""
 
-    kind = "sa"
-
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim < 2 or x.shape[-1] != self.channels:
             raise ShapeError(f"expected (..., L, {self.channels}), got {x.shape}")
@@ -234,12 +223,9 @@ class SelfAttention(MultiHeadCore):
 class Conv2d(Module):
     """K×K cross-correlation with zero padding ⌊K/2⌋ and bias."""
 
-    kind = "conv"
-
     def __init__(self, rng, kernel: int, cin: int, cout: int, stride: int = 1,
                  dtype=np.float32):
-        if kernel < 1 or kernel % 2 == 0:
-            raise GeometryError(f"kernel must be odd and positive, got K={kernel}")
+        check_window(kernel, stride)
         self.kernel = kernel
         self.cin = cin
         self.cout = cout

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .attention import LAYER_KINDS, CostQuery, build_layer, layer_input, madds, measured_madds
 from .checks import GRADCHECK_KINDS, ORACLE_KINDS, gradient_check, oracle_check
-from .errors import ContractError, DivergenceError, ShapeError
+from .errors import ContractError, DivergenceError, GeometryError, ShapeError
 from .model import (
     PRESETS,
     REFERENCE_MADDS,
@@ -140,7 +140,7 @@ def inspect(config_name: str, resolution: int | None, allocate: bool, as_json: b
 
 
 @main.command(name="oracle-check")
-@click.option("--seeds", type=int, default=20, show_default=True,
+@click.option("--seeds", type=click.IntRange(min=1), default=20, show_default=True,
               help="Seeds per layer kind.")
 @click.option("--tolerance", type=float, default=1e-6, show_default=True)
 @click.option("--kinds", default=",".join(ORACLE_KINDS), show_default=True)
@@ -152,7 +152,7 @@ def oracle_check_cmd(seeds: int, tolerance: float, kinds: str, as_json: bool) ->
 
 
 @main.command()
-@click.option("--seeds", type=int, default=10, show_default=True,
+@click.option("--seeds", type=click.IntRange(min=1), default=10, show_default=True,
               help="Seeds per op/layer kind.")
 @click.option("--tolerance", type=float, default=1e-4, show_default=True)
 @click.option("--kinds", default=",".join(GRADCHECK_KINDS), show_default=True)
@@ -170,7 +170,7 @@ def gradcheck(seeds: int, tolerance: float, kinds: str, as_json: bool) -> None:
 @click.option("--channels", type=int, default=192, show_default=True)
 @click.option("--kernel", type=int, default=3, show_default=True)
 @click.option("--heads", type=int, default=6, show_default=True)
-@click.option("--reps", type=int, default=5, show_default=True)
+@click.option("--reps", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--csv", "csv_path", default=None,
               help="Write rows as CSV to this path ('-' for stdout).")
 def bench(kinds: str, sizes: str, channels: int, kernel: int, heads: int,
@@ -187,13 +187,13 @@ def bench(kinds: str, sizes: str, channels: int, kernel: int, heads: int,
 
     rows = []
     for height, width in shapes:
-        try:
-            query = CostQuery(height, width, channels, kernel, heads)
-        except ShapeError as exc:
-            raise click.UsageError(str(exc)) from exc
         for kind in picked:
             rng = np.random.default_rng(0)
-            layer = build_layer(kind, query, rng, dtype=np.float32)
+            try:
+                query = CostQuery(height, width, channels, kernel, heads)
+                layer = build_layer(kind, query, rng, dtype=np.float32)
+            except (GeometryError, ShapeError) as exc:
+                raise click.UsageError(str(exc)) from exc
             x = layer_input(kind, query, rng, dtype=np.float32)
             measured = measured_madds(layer, x)
             times = []
@@ -232,13 +232,13 @@ def bench(kinds: str, sizes: str, channels: int, kernel: int, heads: int,
 
 @main.command(name="train-toy")
 @click.option("--config", "config_name", default="tiny", show_default=True)
-@click.option("--steps", type=int, default=500, show_default=True)
+@click.option("--steps", type=click.IntRange(min=1), default=500, show_default=True)
 @click.option("--lr", type=float, default=2e-3, show_default=True)
-@click.option("--batch-size", type=int, default=8, show_default=True)
+@click.option("--batch-size", type=click.IntRange(min=1), default=8, show_default=True)
 @click.option("--weight-decay", type=float, default=0.01, show_default=True)
 @click.option("--warmup", type=int, default=50, show_default=True,
               help="Linear learning-rate ramp over this many first steps.")
-@click.option("--per-class", type=int, default=8, show_default=True,
+@click.option("--per-class", type=click.IntRange(min=1), default=8, show_default=True,
               help="Synthetic images per class.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--log-every", type=int, default=50, show_default=True)

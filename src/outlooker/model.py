@@ -38,6 +38,7 @@ from .blocks import (
 )
 from .errors import ContractError, ShapeError
 from .tensor import Tensor
+from .windows import WindowGeometry
 
 STAGE1_KINDS = ("outlook", "lsa", "conv")
 STEM_HIDDEN = 64
@@ -315,8 +316,8 @@ def analytic_madds(config: ModelConfig, resolution: int | None = None) -> int:
     instrumented counter.
     """
     size = config.image_size if resolution is None else int(resolution)
-    if size % 16 != 0:
-        raise ShapeError(f"resolution must be divisible by 16, got {size}")
+    if size <= 0 or size % 16 != 0:
+        raise ShapeError(f"resolution must be a positive multiple of 16, got {size}")
     half = size // 2
     g1 = half // STEM_PATCH
     g2 = g1 // DOWNSAMPLE
@@ -328,7 +329,7 @@ def analytic_madds(config: ModelConfig, resolution: int | None = None) -> int:
             + hw1 * (STEM_PATCH ** 2 * STEM_HIDDEN) * c1)
 
     if config.stage1_kind == "outlook":
-        wins = ((g1 + 2 * (k // 2) - k) // config.stride + 1) ** 2
+        wins = WindowGeometry(g1, g1, k, config.stride).windows
         mixer = _oa_madds(hw1, wins, c1, config.outlooker_heads, k)
     else:
         mixer = madds(CostQuery(g1, g1, c1, k, config.outlooker_heads), config.stage1_kind)

@@ -283,36 +283,33 @@ def sum_all(x: Tensor) -> Tensor:
 def avg_pool(x: Tensor, stride: int) -> Tensor:
     """Non-overlapping stride×stride mean over the two spatial axes.
 
-    ``x``: (..., H, W, C) → (..., ceil(H/s), ceil(W/s), C).  Edge cells
-    average over in-bounds entries only, so padding never leaks values in.
+    ``x``: (..., H, W, C) → (..., ceil(H/s), ceil(W/s), C).  The map is
+    zero-padded at its far edges to whole s×s cells; edge cells divide by
+    their in-bounds count, so the padding never enters a mean.  The backward
+    spreads g / count evenly over each cell.
     """
-    stride = int(stride)
-    if stride < 1:
-        raise ShapeError(f"avg_pool stride must be >= 1, got {stride}")
+    s = int(stride)
+    if s < 1:
+        raise ShapeError(f"avg_pool stride must be >= 1, got {s}")
     if x.ndim < 3:
         raise ShapeError(f"avg_pool expects (..., H, W, C), got {x.shape}")
-    if stride == 1:
+    if s == 1:
         return x
     *lead, height, width, channels = x.shape
-    h = -(-height // stride)
-    w = -(-width // stride)
-    counts_h = np.minimum(stride, height - stride * np.arange(h))
-    counts_w = np.minimum(stride, width - stride * np.arange(w))
+    h, w = -(-height // s), -(-width // s)
+    counts_h = np.minimum(s, height - s * np.arange(h))
+    counts_w = np.minimum(s, width - s * np.arange(w))
     counts = np.outer(counts_h, counts_w).astype(x.data.dtype)[:, :, None]
-    acc = np.zeros((*lead, h, w, channels), dtype=x.data.dtype)
-    for a in range(stride):
-        for b in range(stride):
-            sub = x.data[..., a::stride, b::stride, :]
-            acc[..., : sub.shape[-3], : sub.shape[-2], :] += sub
-    out = acc / counts
+    padded = np.zeros((*lead, h * s, w * s, channels), dtype=x.data.dtype)
+    padded[..., :height, :width, :] = x.data
+    cells = np.moveaxis(padded.reshape(*lead, h, s, w, s, channels), (-4, -2), (0, 1))
+    # builtin sum adds the s² cell slices one at a time in row-major order, so
+    # the rounding is fixed; np.sum may pair entries up (it does for small C)
+    out = sum(cells.reshape(s * s, *lead, h, w, channels)) / counts
 
     def backward_fn(g):
-        gs = g / counts
-        gx = np.zeros_like(x.data)
-        for a in range(stride):
-            for b in range(stride):
-                view = gx[..., a::stride, b::stride, :]
-                view += gs[..., : view.shape[-3], : view.shape[-2], :]
-        return (gx,)
+        gs = np.broadcast_to((g / counts)[..., :, None, :, None, :], (*lead, h, s, w, s, channels))
+        gx = gs.reshape(*lead, h * s, w * s, channels)[..., :height, :width, :]
+        return (np.ascontiguousarray(gx),)
 
     return from_op(out, (x,), backward_fn)

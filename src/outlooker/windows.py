@@ -8,9 +8,12 @@ slot ``u = dp·K + dq`` holds the token at (a·s + dp − p, b·s + dq − p), o
 zero when that index is out of bounds.  Leading axes before (H, W, C), such
 as a batch axis, carry through unchanged.
 
-``fold`` is the exact linear adjoint of ``unfold``: ⟨unfold(x), y⟩ =
-⟨x, fold(y)⟩, which is also how the two ops provide each other's backward.
-Only odd kernels are supported: an even window has no center token.
+Both kernels work through one strided view of the padded map, shaped
+(..., h, w, K, K, C) with no copy: ``unfold`` is one contiguous copy of that
+view, and ``fold`` scatter-adds each slot back through it.  ``fold`` is the
+exact linear adjoint of ``unfold``: ⟨unfold(x), y⟩ = ⟨x, fold(y)⟩, which is
+also how the two ops provide each other's backward.  Only odd kernels are
+supported: an even window has no center token.
 """
 
 from __future__ import annotations
@@ -18,9 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GeometryError, ShapeError
 from .tensor import Tensor, from_op
+
+
+def check_window(kernel: int, stride: int = 1) -> None:
+    """Reject an even or non-positive kernel and a stride below 1."""
+    if kernel < 1 or kernel % 2 == 0:
+        raise GeometryError(f"kernel must be odd and positive, got K={kernel}")
+    if stride < 1:
+        raise GeometryError(f"stride must be >= 1, got {stride}")
 
 
 @dataclass(frozen=True)
@@ -36,10 +48,7 @@ class WindowGeometry:
     def __post_init__(self):
         if self.padding is None:
             object.__setattr__(self, "padding", self.kernel // 2)
-        if self.kernel < 1 or self.kernel % 2 == 0:
-            raise GeometryError(f"kernel must be odd and positive, got K={self.kernel}")
-        if self.stride < 1:
-            raise GeometryError(f"stride must be >= 1, got {self.stride}")
+        check_window(self.kernel, self.stride)
         if self.padding < 0:
             raise GeometryError(f"padding must be >= 0, got {self.padding}")
         if self.height < 1 or self.width < 1:
@@ -63,32 +72,32 @@ class WindowGeometry:
         return self.out_height * self.out_width
 
 
+def _windows(padded: np.ndarray, geom: WindowGeometry) -> np.ndarray:
+    """Writeable view of every window of a padded map: (..., h, w, K, K, C)."""
+    k, s = geom.kernel, geom.stride
+    view = sliding_window_view(padded, (k, k), axis=(-3, -2), writeable=True)
+    return np.moveaxis(view[..., ::s, ::s, :, :, :], -3, -1)
+
+
 def unfold_array(x: np.ndarray, geom: WindowGeometry) -> np.ndarray:
     """Forward kernel on a raw array: (..., H, W, C) → (..., windows, K², C)."""
-    k, s, p = geom.kernel, geom.stride, geom.padding
+    k, p = geom.kernel, geom.padding
     *lead, height, width, channels = x.shape
     padded = np.zeros((*lead, height + 2 * p, width + 2 * p, channels), dtype=x.dtype)
     padded[..., p : p + height, p : p + width, :] = x
-    h, w = geom.out_height, geom.out_width
-    out = np.empty((*lead, h, w, k * k, channels), dtype=x.dtype)
-    for dp in range(k):
-        for dq in range(k):
-            rows = padded[..., dp : dp + s * (h - 1) + 1 : s, dq : dq + s * (w - 1) + 1 : s, :]
-            out[..., dp * k + dq, :] = rows
-    return out.reshape(*lead, h * w, k * k, channels)
+    out = np.ascontiguousarray(_windows(padded, geom))
+    return out.reshape(*lead, geom.windows, k * k, channels)
 
 
 def fold_array(y: np.ndarray, geom: WindowGeometry) -> np.ndarray:
     """Adjoint kernel on a raw array: (..., windows, K², C) → (..., H, W, C) by scatter-add."""
-    k, s, p = geom.kernel, geom.stride, geom.padding
-    h, w = geom.out_height, geom.out_width
+    k, p = geom.kernel, geom.padding
     *lead, _, _, channels = y.shape
-    grid = y.reshape(*lead, h, w, k, k, channels)
+    grid = y.reshape(*lead, geom.out_height, geom.out_width, k, k, channels)
     padded = np.zeros((*lead, geom.height + 2 * p, geom.width + 2 * p, channels), dtype=y.dtype)
-    for dp in range(k):
-        for dq in range(k):
-            padded[..., dp : dp + s * (h - 1) + 1 : s, dq : dq + s * (w - 1) + 1 : s, :] += (
-                grid[..., dp, dq, :])
+    view = _windows(padded, geom)
+    for dp, dq in np.ndindex(k, k):     # one slot at a time: its windows never overlap
+        view[..., dp, dq, :] += grid[..., dp, dq, :]
     return np.ascontiguousarray(padded[..., p : p + geom.height, p : p + geom.width, :])
 
 

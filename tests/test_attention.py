@@ -38,6 +38,15 @@ class TestConstruction:
             OutlookAttention(rng, 8, 2, kernel=2)
         with pytest.raises(GeometryError):
             Conv2d(rng, 2, 3, 8)
+        with pytest.raises(GeometryError):
+            LocalSelfAttention(rng, 8, 2, kernel=2)
+
+    def test_stride_below_one_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(GeometryError):
+            OutlookAttention(rng, 8, 2, stride=0)
+        with pytest.raises(GeometryError):
+            Conv2d(rng, 3, 3, 8, stride=0)
 
     def test_wa_parameter_count_at_example_width(self):
         layer = OutlookAttention(np.random.default_rng(0), 192, 6, 3)

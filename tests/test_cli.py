@@ -116,6 +116,22 @@ class TestGenData:
         assert blob["labels"].shape == (6,)
 
 
+@pytest.mark.parametrize("args", [
+    ["inspect", "--config", "tiny", "--resolution", "-16"],
+    ["oracle-check", "--seeds", "0"],
+    ["gradcheck", "--seeds", "0"],
+    ["bench", "--channels", "12", "--heads", "5"],
+    ["bench", "--kernel", "4"],
+    ["bench", "--reps", "0"],
+    ["train-toy", "--steps", "0", "--json"],
+    ["train-toy", "--batch-size", "0", "--json"],
+    ["train-toy", "--per-class", "0", "--json"],
+], ids="_".join)
+def test_input_that_cannot_run_is_usage_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+
+
 class TestModuleEntry:
     def test_python_m_runs_the_cli(self):
         # ``python -m outlooker.cli`` must reach main(), not import and exit

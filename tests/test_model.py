@@ -111,6 +111,11 @@ class TestAnalyticMadds:
         with pytest.raises(ShapeError):
             analytic_madds(PRESETS["d1"], 100)
 
+    @pytest.mark.parametrize("resolution", [0, -16, -224])
+    def test_non_positive_resolution_rejected(self, resolution):
+        with pytest.raises(ShapeError):
+            analytic_madds(PRESETS["d1"], resolution)
+
     def test_grows_with_resolution(self):
         lo = analytic_madds(PRESETS["d1"], 224)
         hi = analytic_madds(PRESETS["d1"], 448)

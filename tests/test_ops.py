@@ -187,3 +187,24 @@ class TestAvgPool:
         want = np.array([[[2.0], [3.5]], [[6.5], [8.0]]])
         assert got.shape == (2, 2, 1)
         np.testing.assert_allclose(got, want)
+
+    @pytest.mark.parametrize("stride", [2, 3])
+    def test_batched_ragged_means_and_gradient(self, rng, stride):
+        x = rng.standard_normal((2, 5, 7, 3))
+        probe = rng.standard_normal((2, -(-5 // stride), -(-7 // stride), 3))
+        xt = Tensor(x, dtype=np.float64, requires_grad=True)
+        with Tape() as tape:
+            got = ops.avg_pool(xt, stride)
+            grads = backward(ops.sum_all(ops.mul(got, Tensor(probe, dtype=np.float64))), tape)
+        assert got.shape == probe.shape
+        want_grad = np.zeros_like(x)
+        for a in range(probe.shape[1]):
+            for b in range(probe.shape[2]):
+                rows = slice(a * stride, (a + 1) * stride)
+                cols = slice(b * stride, (b + 1) * stride)
+                cell = x[:, rows, cols, :]
+                count = cell.shape[1] * cell.shape[2]
+                np.testing.assert_allclose(got.data[:, a, b], cell.sum(axis=(1, 2)) / count,
+                                           rtol=1e-12)
+                want_grad[:, rows, cols, :] = probe[:, a, b, None, None, :] / count
+        np.testing.assert_allclose(grads[xt], want_grad, rtol=1e-12)
