@@ -108,7 +108,7 @@ def dot_product_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     scores = ops.scale(ops.matmul(split_heads(q, heads), keys), 1.0 / math.sqrt(dh))
     if mask is not None:
         scores = ops.add(scores, Tensor(np.broadcast_to(mask, scores.shape)))
-    attn = ops.softmax(scores, axis=-1)
+    attn = ops.softmax(scores)
     return merge_heads(ops.matmul(attn, split_heads(v, heads)))
 
 
@@ -150,8 +150,7 @@ class OutlookAttention(Module):
         self.w_o = _param(rng, (channels, channels), dtype)
         self.b_o = _zeros(channels, dtype)
 
-    def attend(self, x: Tensor) -> Tensor:
-        """Multi-head window aggregation, before the output projection."""
+    def forward(self, x: Tensor) -> Tensor:
         if x.ndim < 3 or x.shape[-1] != self.channels:
             raise ShapeError(f"expected (..., H, W, {self.channels}), got {x.shape}")
         *lead, height, width, _ = x.shape
@@ -162,16 +161,11 @@ class OutlookAttention(Module):
         values = ops.linear(x, self.w_v)                      # (..., H, W, C)
         stack = split_heads(unfold(values, geom), self.heads)  # (..., h·w, heads, K², cn)
 
-        # default padding K//2 (K odd) gives (H-1)//s + 1 = ceil(H/s) window
-        # rows: avg_pool's grid, so each window has its pooled center token
         pooled = ops.avg_pool(x, self.stride)                 # identity at stride 1
         logits = ops.linear(pooled, self.w_a, self.b_a)       # (..., h, w, heads·K⁴)
-        attn = ops.softmax(ops.reshape(logits, (*lead, h * w, self.heads, k2, k2)), axis=-1)
+        attn = ops.softmax(ops.reshape(logits, (*lead, h * w, self.heads, k2, k2)))
         mixed = merge_heads(ops.matmul(attn, stack))          # (..., h·w, K², C)
-        return fold(mixed, geom)                              # (..., H, W, C)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.linear(self.attend(x), self.w_o, self.b_o)
+        return ops.linear(fold(mixed, geom), self.w_o, self.b_o)
 
     __call__ = forward
 

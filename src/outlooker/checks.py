@@ -148,7 +148,6 @@ def _gradcheck_setup(kind: str, rng: np.random.Generator):
 
 def gradient_check(
     seeds_per_kind: int = 10,
-    h: float = 1e-5,
     tolerance: float = 1e-4,
     kinds: tuple[str, ...] = GRADCHECK_KINDS,
 ) -> OracleReport:
@@ -174,7 +173,7 @@ def gradient_check(
                     t.data[...] = a
                 return float(np.sum(_rebuild().data * _probe))
 
-            numeric = finite_diff_grad(f, base, h=h)
+            numeric = finite_diff_grad(f, base)
 
             for t, a in zip(tensors, base):
                 t.data[...] = a

@@ -233,7 +233,8 @@ def bench(kinds: str, sizes: str, channels: int, kernel: int, heads: int,
 @main.command(name="train-toy")
 @click.option("--config", "config_name", default="tiny", show_default=True)
 @click.option("--steps", type=click.IntRange(min=1), default=500, show_default=True)
-@click.option("--lr", type=float, default=2e-3, show_default=True)
+@click.option("--lr", type=click.FloatRange(min=0, min_open=True), default=2e-3,
+              show_default=True)
 @click.option("--batch-size", type=click.IntRange(min=1), default=8, show_default=True)
 @click.option("--weight-decay", type=float, default=0.01, show_default=True)
 @click.option("--warmup", type=int, default=50, show_default=True,
@@ -271,9 +272,9 @@ def train_toy_cmd(config_name: str, steps: int, lr: float, batch_size: int,
 
 @main.command(name="gen-data")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--classes", type=int, default=10, show_default=True)
-@click.option("--size", type=int, default=32, show_default=True)
-@click.option("--per-class", type=int, default=8, show_default=True)
+@click.option("--classes", type=click.IntRange(min=1), default=10, show_default=True)
+@click.option("--size", type=click.IntRange(min=1), default=32, show_default=True)
+@click.option("--per-class", type=click.IntRange(min=1), default=8, show_default=True)
 @click.option("--noise", type=float, default=0.25, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def gen_data(out_path: str, classes: int, size: int, per_class: int,

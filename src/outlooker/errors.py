@@ -6,7 +6,7 @@ class ShapeError(ValueError):
 
 
 class GeometryError(ValueError):
-    """A sliding-window geometry is invalid (kernel/padding/stride vs. extent)."""
+    """A sliding-window geometry is invalid (kernel, stride or extent)."""
 
 
 class ContractError(RuntimeError):

@@ -46,6 +46,17 @@ STEM_PATCH = 4   # after the stride-2 conv, so the stem reduces the image 2·4 =
 DOWNSAMPLE = 2   # patch merge between the stages, so stage 2 sees the image 16× reduced
 
 
+def _grids(size: int) -> tuple[int, int]:
+    """Stage-1 and stage-2 grid sides of an S×S image: S/8 and S/16."""
+    if size <= 0 or size % (2 * STEM_PATCH * DOWNSAMPLE) != 0:
+        raise ShapeError(
+            f"image size must be a positive multiple of 16 (8× patching then 2× downsample), "
+            f"got {size}"
+        )
+    stage1 = size // (2 * STEM_PATCH)
+    return stage1, stage1 // DOWNSAMPLE
+
+
 @dataclass
 class ModelConfig:
     """One architecture: stage widths/depths/heads plus training knobs."""
@@ -71,11 +82,7 @@ class ModelConfig:
             raise ContractError(
                 f"stage1_kind {self.stage1_kind!r} not one of {STAGE1_KINDS}"
             )
-        if self.image_size % 16 != 0:
-            raise ShapeError(
-                f"image_size must be divisible by 16 (8× patching then 2× downsample), "
-                f"got {self.image_size}"
-            )
+        _grids(self.image_size)   # rejects a size the stem and downsample cannot tile
         if self.stage1_dim * 2 != self.stage2_dim:
             warnings.warn(
                 f"stage2_dim {self.stage2_dim} is not twice stage1_dim {self.stage1_dim}",
@@ -84,11 +91,11 @@ class ModelConfig:
 
     @property
     def stage1_grid(self) -> int:
-        return self.image_size // (2 * STEM_PATCH)
+        return _grids(self.image_size)[0]
 
     @property
     def stage2_grid(self) -> int:
-        return self.stage1_grid // DOWNSAMPLE
+        return _grids(self.image_size)[1]
 
     @property
     def total_layers(self) -> int:
@@ -316,16 +323,13 @@ def analytic_madds(config: ModelConfig, resolution: int | None = None) -> int:
     instrumented counter.
     """
     size = config.image_size if resolution is None else int(resolution)
-    if size <= 0 or size % 16 != 0:
-        raise ShapeError(f"resolution must be a positive multiple of 16, got {size}")
-    half = size // 2
-    g1 = half // STEM_PATCH
-    g2 = g1 // DOWNSAMPLE
+    g1, g2 = _grids(size)
     hw1, length = g1 * g1, g2 * g2
     c1, c2, k = config.stage1_dim, config.stage2_dim, config.kernel
 
+    half = size // 2
     stem = (half * half * (49 * 3) * STEM_HIDDEN
-            + 2 * half * half * (9 * STEM_HIDDEN) * STEM_HIDDEN
+            + 2 * madds(CostQuery(half, half, STEM_HIDDEN, 3), "conv")
             + hw1 * (STEM_PATCH ** 2 * STEM_HIDDEN) * c1)
 
     if config.stage1_kind == "outlook":

@@ -197,30 +197,30 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return from_op(data, (x,), backward_fn)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Exponential normalization along ``axis``; slices sum to one.
+def softmax(x: Tensor) -> Tensor:
+    """Exponential normalization along the last axis; each row sums to one.
 
     Computed as exp(x - max)/sum for overflow safety; ``-inf`` entries (used
     for masking) receive exactly zero weight.
     """
-    z = x.data - np.max(x.data, axis=axis, keepdims=True)
+    z = x.data - np.max(x.data, axis=-1, keepdims=True)
     e = np.exp(z)
-    s = e / np.sum(e, axis=axis, keepdims=True)
+    s = e / np.sum(e, axis=-1, keepdims=True)
 
     def backward_fn(g):
-        dot = np.sum(g * s, axis=axis, keepdims=True)
+        dot = np.sum(g * s, axis=-1, keepdims=True)
         return (s * (g - dot),)
 
     return from_op(s, (x,), backward_fn)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Log of softmax, computed stably as (x - max) - log(sum(exp))."""
-    z = x.data - np.max(x.data, axis=axis, keepdims=True)
-    out = z - np.log(np.sum(np.exp(z), axis=axis, keepdims=True))
+def log_softmax(x: Tensor) -> Tensor:
+    """Log of softmax along the last axis, computed stably as (x - max) - log(sum(exp))."""
+    z = x.data - np.max(x.data, axis=-1, keepdims=True)
+    out = z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
 
     def backward_fn(g):
-        return (g - np.exp(out) * np.sum(g, axis=axis, keepdims=True),)
+        return (g - np.exp(out) * np.sum(g, axis=-1, keepdims=True),)
 
     return from_op(out, (x,), backward_fn)
 

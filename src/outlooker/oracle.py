@@ -124,9 +124,7 @@ class OracleReport:
 
 
 def finite_diff_grad(
-    f: Callable[[Sequence[np.ndarray]], float],
-    arrays: Sequence[np.ndarray],
-    h: float = 1e-5,
+    f: Callable[[Sequence[np.ndarray]], float], arrays: Sequence[np.ndarray]
 ) -> list[np.ndarray]:
     """Per-coordinate central differences of a scalar function.
 
@@ -135,6 +133,7 @@ def finite_diff_grad(
     round-off error O(eps/h), both far below 1e-4 tolerances at h=1e-5 only
     in double precision.
     """
+    h = 1e-5
     work = [np.array(a, dtype=np.float64) for a in arrays]
     grads = []
     for a in work:
@@ -157,19 +156,17 @@ def finite_diff_grad(
 # window references
 
 
-def _grid(height: int, width: int, kernel: int, stride: int, padding: int | None):
-    p = kernel // 2 if padding is None else padding
+def _grid(height: int, width: int, kernel: int, stride: int):
+    p = kernel // 2
     h = (height + 2 * p - kernel) // stride + 1
     w = (width + 2 * p - kernel) // stride + 1
     return h, w, p
 
 
-def oracle_unfold(
-    x: np.ndarray, kernel: int, stride: int = 1, padding: int | None = None
-) -> np.ndarray:
+def oracle_unfold(x: np.ndarray, kernel: int, stride: int = 1) -> np.ndarray:
     """Window extraction by direct loops with explicit bounds checks."""
     height, width, channels = x.shape
-    h, w, p = _grid(height, width, kernel, stride, padding)
+    h, w, p = _grid(height, width, kernel, stride)
     out = np.zeros((h * w, kernel * kernel, channels), dtype=x.dtype)
     for a in range(h):
         for b in range(w):
@@ -184,15 +181,10 @@ def oracle_unfold(
 
 
 def oracle_fold(
-    y: np.ndarray,
-    height: int,
-    width: int,
-    kernel: int,
-    stride: int = 1,
-    padding: int | None = None,
+    y: np.ndarray, height: int, width: int, kernel: int, stride: int = 1
 ) -> np.ndarray:
     """Scatter-add of stack rows by direct loops (adjoint of oracle_unfold)."""
-    h, w, p = _grid(height, width, kernel, stride, padding)
+    h, w, p = _grid(height, width, kernel, stride)
     channels = y.shape[-1]
     out = np.zeros((height, width, channels), dtype=y.dtype)
     for a in range(h):
@@ -235,7 +227,7 @@ def oracle_outlook_attention(x: np.ndarray, layer) -> np.ndarray:
     height, width, channels = x.shape
     cn = channels // heads
     k2 = kernel * kernel
-    h, w, p = _grid(height, width, kernel, stride, None)
+    h, w, p = _grid(height, width, kernel, stride)
 
     values = np.zeros((height, width, channels))
     for i in range(height):
@@ -379,7 +371,7 @@ def oracle_conv(x: np.ndarray, layer) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     height, width, cin = x.shape
     cout = weight.shape[-1]
-    h, w, p = _grid(height, width, kernel, stride, None)
+    h, w, p = _grid(height, width, kernel, stride)
 
     out = np.zeros((h, w, cout))
     for a in range(h):

@@ -219,7 +219,7 @@ class MAddCounter:
 MADD_COUNTER = MAddCounter()
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=DEFAULT_DTYPE) -> np.ndarray:
+def trunc_normal(rng: np.random.Generator, shape, std: float, dtype=DEFAULT_DTYPE) -> np.ndarray:
     """Normal(0, std) samples re-drawn (then clipped) to lie within 2 std."""
     out = rng.normal(0.0, std, size=shape)
     for _ in range(8):

@@ -63,7 +63,9 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     labels = np.asarray(labels)
     if labels.shape != (batch,):
         raise ContractError(f"expected {batch} labels, got shape {labels.shape}")
-    logp = ops.log_softmax(logits, axis=-1)
+    if ((labels < 0) | (labels >= classes)).any():
+        raise ContractError(f"labels must lie in [0, {classes}), got {labels}")
+    logp = ops.log_softmax(logits)
     pick = np.zeros((batch, classes), dtype=logits.data.dtype)
     pick[np.arange(batch), labels] = -1.0 / batch
     return ops.sum_all(ops.mul(logp, Tensor(pick, dtype=logits.data.dtype)))
@@ -72,22 +74,22 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 class AdamW:
     """Adam with bias correction and decoupled weight decay.
 
-    Decay is applied directly to the weights (scaled by lr), not mixed into
-    the gradient, and skips vectors: biases, norm scales, and other rank-1
-    parameters stay unregularized as is conventional.
+    The moment decay rates ``beta1``/``beta2`` and the denominator floor
+    ``eps`` are fixed class constants.  Decay is applied directly to the
+    weights (scaled by lr), not mixed into the gradient, and skips vectors:
+    biases, norm scales, and other rank-1 parameters stay unregularized as is
+    conventional.
     """
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float = 1e-3, weight_decay: float = 0.0):
         if lr <= 0:
             raise ContractError(f"lr must be positive, got {lr}")
-        if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
-            raise ContractError(f"betas must lie in [0, 1), got {betas}")
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]

@@ -1,9 +1,10 @@
 """Sliding-window extraction (unfold) and its adjoint scatter-add (fold).
 
-A window geometry places K×K windows on an H×W token map with zero padding
-``p`` (default ⌊K/2⌋, which centers each window on a token) and stride ``s``.
-Window centers per axis: ⌊(extent + 2p − K)/s⌋ + 1.  Windows and the offsets
-inside a window are both enumerated row-major, so stack row ``t = a·w + b``,
+A window geometry places K×K windows on an H×W token map with stride ``s``
+and zero padding ``p`` = ⌊K/2⌋, which centers each window on a token.
+Window centers per axis: ⌈extent/s⌉, one per s×s cell, which is the grid of
+``ops.avg_pool`` at the same stride.  Windows and the offsets inside a
+window are both enumerated row-major, so stack row ``t = a·w + b``,
 slot ``u = dp·K + dq`` holds the token at (a·s + dp − p, b·s + dq − p), or
 zero when that index is out of bounds.  Leading axes before (H, W, C), such
 as a batch axis, carry through unchanged.
@@ -37,35 +38,32 @@ def check_window(kernel: int, stride: int = 1) -> None:
 
 @dataclass(frozen=True)
 class WindowGeometry:
-    """K×K windows over an H×W map: odd kernel, zero padding, stride."""
+    """K×K windows over an H×W map: odd kernel, stride, zero padding ⌊K/2⌋.
+
+    Each axis has ⌈extent/stride⌉ window centers, at the tokens a·s.
+    """
 
     height: int
     width: int
     kernel: int
     stride: int = 1
-    padding: int = None  # type: ignore[assignment]  # defaults to kernel // 2
 
     def __post_init__(self):
-        if self.padding is None:
-            object.__setattr__(self, "padding", self.kernel // 2)
         check_window(self.kernel, self.stride)
-        if self.padding < 0:
-            raise GeometryError(f"padding must be >= 0, got {self.padding}")
         if self.height < 1 or self.width < 1:
             raise GeometryError(f"map extent must be positive, got {self.height}x{self.width}")
-        if self.kernel > self.height + 2 * self.padding or self.kernel > self.width + 2 * self.padding:
-            raise GeometryError(
-                f"kernel K={self.kernel} exceeds padded extent "
-                f"{self.height + 2 * self.padding}x{self.width + 2 * self.padding}"
-            )
+
+    @property
+    def padding(self) -> int:
+        return self.kernel // 2
 
     @property
     def out_height(self) -> int:
-        return (self.height + 2 * self.padding - self.kernel) // self.stride + 1
+        return -(-self.height // self.stride)
 
     @property
     def out_width(self) -> int:
-        return (self.width + 2 * self.padding - self.kernel) // self.stride + 1
+        return -(-self.width // self.stride)
 
     @property
     def windows(self) -> int:

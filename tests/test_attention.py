@@ -88,12 +88,14 @@ class TestOutlookIdentities:
 
     def test_heads_read_disjoint_value_columns(self, rng):
         # zeroing one head's value columns zeroes exactly that head's
-        # pre-projection output channels and leaves the other head's intact
+        # pre-projection output channels and leaves the other head's intact;
+        # an identity output projection (b_o stays 0) exposes those channels
         base = OutlookAttention(np.random.default_rng(3), 8, 2, 3, dtype=np.float64)
+        base.w_o.data[...] = np.eye(8)
         x = Tensor(rng.standard_normal((4, 4, 8)), dtype=np.float64)
-        full = base.attend(x).data.copy()
+        full = base.forward(x).data.copy()
         base.w_v.data[:, 4:] = 0.0
-        cut = base.attend(x).data
+        cut = base.forward(x).data
         np.testing.assert_allclose(cut[:, :, 4:], 0.0, atol=1e-15)
         np.testing.assert_allclose(cut[:, :, :4], full[:, :, :4], atol=1e-15)
 
@@ -101,11 +103,13 @@ class TestOutlookIdentities:
         # identity values on an all-ones map: a fully in-bounds window row
         # contributes exactly its softmax mass (1), a clipped row strictly
         # less, so the center token, covered by 9 interior windows, lands
-        # on 9.0 exactly iff every row sums to one
+        # on 9.0 exactly iff every row sums to one (identity output
+        # projection, b_o stays 0)
         layer = OutlookAttention(np.random.default_rng(4), 4, 2, 3, dtype=np.float64)
         layer.w_v.data[...] = np.eye(4)
+        layer.w_o.data[...] = np.eye(4)
         x = Tensor(np.ones((5, 5, 4)), dtype=np.float64)
-        out = layer.attend(x).data
+        out = layer.forward(x).data
         geom = WindowGeometry(5, 5, 3)
         cov = fold_array(unfold_array(np.ones((5, 5, 1)), geom), geom)[:, :, 0]
         np.testing.assert_allclose(out[2, 2, :], 9.0, atol=1e-12)

@@ -126,8 +126,15 @@ class TestGenData:
     ["train-toy", "--steps", "0", "--json"],
     ["train-toy", "--batch-size", "0", "--json"],
     ["train-toy", "--per-class", "0", "--json"],
+    ["train-toy", "--lr", "0", "--json"],
+    ["train-toy", "--lr", "-1", "--json"],
+    ["gen-data", "--classes", "0"],
+    ["gen-data", "--per-class", "0"],
+    ["gen-data", "--size", "0"],
 ], ids="_".join)
-def test_input_that_cannot_run_is_usage_error(runner, args):
+def test_input_that_cannot_run_is_usage_error(runner, args, tmp_path):
+    if args[0] == "gen-data":
+        args = [*args, "--out", str(tmp_path / "toy.npz")]
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
 

@@ -52,8 +52,9 @@ class TestModelConfig:
             ModelConfig(stage1_kind="dense")
 
     def test_image_size_must_be_multiple_of_16(self):
-        with pytest.raises(ShapeError):
-            ModelConfig(image_size=100)
+        for size in (100, 0, -16):
+            with pytest.raises(ShapeError):
+                ModelConfig(image_size=size)
 
     def test_unbalanced_widths_warn(self):
         with pytest.warns(UserWarning):

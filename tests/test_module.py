@@ -5,7 +5,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from outlooker import PRESETS, ClassAttentionBlock, OutlookerBlock, build_model
+from outlooker import (
+    PRESETS,
+    AdamW,
+    ClassAttentionBlock,
+    OutlookerBlock,
+    Tape,
+    backward,
+    build_model,
+    cross_entropy,
+    ops,
+    windows,
+)
 from outlooker.model import Stem
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -54,10 +65,14 @@ def test_tiny_model_names_and_parameters_agree():
     assert [id(p) for p in model.parameters()] == [id(p) for _, p in model.named_params()]
 
 
-def _traced_classes():
+def _tracer_namespace() -> dict:
     namespace: dict = {"__name__": "tracer"}
     exec(compile(TRACER.read_text(), str(TRACER), "exec"), namespace)
-    return [cls for cls, _ in namespace["MODULES"]]
+    return namespace
+
+
+def _traced_classes():
+    return [cls for cls, _ in _tracer_namespace()["MODULES"]]
 
 
 @pytest.mark.parametrize("cls", _traced_classes(), ids=lambda cls: cls.__name__)
@@ -65,3 +80,40 @@ def test_call_is_forward(cls):
     # the benchmark tracer wraps forward and __call__ separately; a __call__
     # that called forward would nest two spans of the same name
     assert cls.__call__ is cls.forward
+
+
+def test_tracer_patch_points_all_fire():
+    # the benchmark tracer wraps library functions by name; a renamed or
+    # re-signatured patch point would record no span or fail mid-step
+    bench = _tracer_namespace()
+    model = build_model(PRESETS["tiny"], seed=0)
+    opt = AdamW(model.parameters(), lr=1e-3)
+    images = np.random.default_rng(0).standard_normal((2, 32, 32, 3)).astype(np.float32)
+    labels = np.array([0, 1])
+
+    def step():
+        with Tape() as tape:
+            logits = model.forward(images, training=True, rng=np.random.default_rng(1))
+            loss = cross_entropy(logits, labels)
+            nodes = len(tape)
+            grads = backward(loss, tape)
+        opt.step(grads)
+        return nodes
+
+    untraced_nodes = step()
+    originals = (ops.softmax, windows.unfold, Tape.record)
+    tracer = bench["Tracer"]([("model", model)])
+    tracer.install()
+    try:
+        tracer.traced_step(step)()
+    finally:
+        tracer.uninstall()
+
+    recorded = {span[bench["NAME"]] for span in tracer.spans}
+    expected = ({f"ops.{op}" for op in bench["OPS"]}
+                | {f"windows.{op}" for op in bench["WINDOWS"]}
+                | {name for _, name in bench["MODULES"]})
+    assert expected - recorded == set()
+    assert tracer.nodes == untraced_nodes
+    for now, then in zip((ops.softmax, windows.unfold, Tape.record), originals):
+        assert now is then

@@ -43,7 +43,7 @@ class TestWindowOracles:
         geom = WindowGeometry(height, width, kernel, stride)
         x = rng.standard_normal((height, width, 3))
         np.testing.assert_allclose(
-            oracle_unfold(x, kernel, stride, geom.padding), unfold_array(x, geom)
+            oracle_unfold(x, kernel, stride), unfold_array(x, geom)
         )
 
     @pytest.mark.parametrize("kernel,stride", [(1, 1), (3, 1), (3, 2), (5, 2)])
@@ -52,7 +52,7 @@ class TestWindowOracles:
         geom = WindowGeometry(height, width, kernel, stride)
         y = rng.standard_normal((geom.windows, kernel * kernel, 3))
         np.testing.assert_allclose(
-            oracle_fold(y, height, width, kernel, stride, geom.padding),
+            oracle_fold(y, height, width, kernel, stride),
             fold_array(y, geom),
         )
 

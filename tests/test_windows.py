@@ -40,13 +40,21 @@ class TestWindowGeometry:
         with pytest.raises(GeometryError):
             WindowGeometry(8, 8, 3, stride=0)
 
-    def test_negative_padding_rejected(self):
+    def test_empty_map_rejected(self):
         with pytest.raises(GeometryError):
-            WindowGeometry(8, 8, 3, padding=-1)
+            WindowGeometry(0, 8, 3)
 
-    def test_kernel_larger_than_padded_extent_rejected(self):
-        with pytest.raises(GeometryError):
-            WindowGeometry(2, 8, 7, padding=1)
+    @pytest.mark.parametrize("kernel", [1, 3, 5, 7])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_centers_match_avg_pool_grid(self, kernel, stride):
+        # outlook attention predicts each window's weights from the pooled
+        # token of its s×s cell, so the two grids must agree on every extent
+        for height in range(1, 21):
+            width = 21 - height
+            geom = WindowGeometry(height, width, kernel, stride)
+            pooled = ops.avg_pool(Tensor(np.zeros((height, width, 1))), stride)
+            want = (-(-height // stride), -(-width // stride))
+            assert (geom.out_height, geom.out_width) == want == pooled.shape[:2]
 
     def test_default_padding_preserves_grid_at_stride_one(self):
         geom = WindowGeometry(11, 7, 5)
@@ -109,7 +117,7 @@ class TestUnfoldFoldValues:
 
     def test_unfold_stride_two_picks_even_centers(self):
         x = np.arange(16.0).reshape(4, 4, 1)
-        geom = WindowGeometry(4, 4, 1, stride=2, padding=0)
+        geom = WindowGeometry(4, 4, 1, stride=2)
         windows = unfold_array(x, geom)
         np.testing.assert_allclose(windows[:, 0, 0], [0.0, 2.0, 8.0, 10.0])
 
