@@ -27,11 +27,16 @@ def mlp_hidden(channels: int, ratio: float) -> int:
     return rounded
 
 
+def check_drop_rate(rate: float) -> None:
+    """Reject a drop-path rate outside [0, 1)."""
+    if not (0.0 <= rate < 1.0):
+        raise ContractError(f"drop rate must be in [0, 1), got {rate}")
+
+
 def stochastic_depth_mask(rate: float, batch: int, rng: np.random.Generator) -> np.ndarray:
     """Per-sample keep mask: 0 with probability ``rate``, else 1/(1-rate)."""
     rate = float(rate)
-    if not (0.0 <= rate < 1.0):
-        raise ContractError(f"drop rate must be in [0, 1), got {rate}")
+    check_drop_rate(rate)
     if batch < 1:
         raise ContractError(f"batch must be >= 1, got {batch}")
     keep = rng.random(batch) >= rate
@@ -75,8 +80,7 @@ class _ResidualBlock(Module):
         self.mixer = mixer
         self.norm2 = LayerNorm(channels, dtype=dtype)
         self.mlp = Mlp(rng, channels, mlp_ratio, dtype=dtype)
-        if not (0.0 <= drop_path < 1.0):
-            raise ContractError(f"drop_path must be in [0, 1), got {drop_path}")
+        check_drop_rate(drop_path)
         self.drop_path = float(drop_path)
 
     def _branch(self, t: Tensor, training: bool, rng) -> Tensor:

@@ -49,7 +49,8 @@ def _resolve_config(value: str) -> ModelConfig:
     if path.exists():
         try:
             return ModelConfig.from_json(path.read_text())
-        except (ContractError, ShapeError, TypeError, json.JSONDecodeError) as exc:
+        except (ContractError, GeometryError, ShapeError, TypeError,
+                json.JSONDecodeError) as exc:
             raise click.UsageError(f"bad config file {value}: {exc}") from exc
     raise click.UsageError(
         f"{value!r} is neither a preset ({', '.join(PRESETS)}) nor an existing JSON file"
@@ -142,7 +143,7 @@ def inspect(config_name: str, resolution: int | None, allocate: bool, as_json: b
 @main.command(name="oracle-check")
 @click.option("--seeds", type=click.IntRange(min=1), default=20, show_default=True,
               help="Seeds per layer kind.")
-@click.option("--tolerance", type=float, default=1e-6, show_default=True)
+@click.option("--tolerance", type=click.FloatRange(min=0), default=1e-6, show_default=True)
 @click.option("--kinds", default=",".join(ORACLE_KINDS), show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def oracle_check_cmd(seeds: int, tolerance: float, kinds: str, as_json: bool) -> None:
@@ -154,7 +155,7 @@ def oracle_check_cmd(seeds: int, tolerance: float, kinds: str, as_json: bool) ->
 @main.command()
 @click.option("--seeds", type=click.IntRange(min=1), default=10, show_default=True,
               help="Seeds per op/layer kind.")
-@click.option("--tolerance", type=float, default=1e-4, show_default=True)
+@click.option("--tolerance", type=click.FloatRange(min=0), default=1e-4, show_default=True)
 @click.option("--kinds", default=",".join(GRADCHECK_KINDS), show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def gradcheck(seeds: int, tolerance: float, kinds: str, as_json: bool) -> None:
@@ -236,14 +237,14 @@ def bench(kinds: str, sizes: str, channels: int, kernel: int, heads: int,
 @click.option("--lr", type=click.FloatRange(min=0, min_open=True), default=2e-3,
               show_default=True)
 @click.option("--batch-size", type=click.IntRange(min=1), default=8, show_default=True)
-@click.option("--weight-decay", type=float, default=0.01, show_default=True)
-@click.option("--warmup", type=int, default=50, show_default=True,
+@click.option("--weight-decay", type=click.FloatRange(min=0), default=0.01, show_default=True)
+@click.option("--warmup", type=click.IntRange(min=0), default=50, show_default=True,
               help="Linear learning-rate ramp over this many first steps.")
 @click.option("--per-class", type=click.IntRange(min=1), default=8, show_default=True,
               help="Synthetic images per class.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--log-every", type=int, default=50, show_default=True)
-@click.option("--min-accuracy", type=float, default=0.0, show_default=True,
+@click.option("--log-every", type=click.IntRange(min=0), default=50, show_default=True)
+@click.option("--min-accuracy", type=click.FloatRange(0, 1), default=0.0, show_default=True,
               help="Exit 1 if final train accuracy lands below this.")
 @click.option("--json", "as_json", is_flag=True)
 def train_toy_cmd(config_name: str, steps: int, lr: float, batch_size: int,

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ops
-from .attention import Conv2d, CostQuery, Module, _oa_madds, _param, _zeros, madds
+from .attention import Conv2d, CostQuery, Module, _check_heads, _oa_madds, _param, _zeros, madds
 from .blocks import (
     ClassAttentionBlock,
     ConvBlock,
@@ -33,12 +33,13 @@ from .blocks import (
     Mlp,
     OutlookerBlock,
     TransformerBlock,
+    check_drop_rate,
     drop_path_schedule,
     mlp_hidden,
 )
 from .errors import ContractError, ShapeError
 from .tensor import Tensor
-from .windows import WindowGeometry
+from .windows import WindowGeometry, check_window
 
 STAGE1_KINDS = ("outlook", "lsa", "conv")
 STEM_HIDDEN = 64
@@ -82,7 +83,19 @@ class ModelConfig:
             raise ContractError(
                 f"stage1_kind {self.stage1_kind!r} not one of {STAGE1_KINDS}"
             )
+        for name, least in (("num_classes", 1), ("stage1_dim", 1), ("stage2_dim", 1),
+                            ("num_outlookers", 0), ("num_transformers", 0),
+                            ("num_class_blocks", 0)):
+            if getattr(self, name) < least:
+                raise ContractError(f"{name} must be >= {least}, got {getattr(self, name)}")
         _grids(self.image_size)   # rejects a size the stem and downsample cannot tile
+        # the rules the layers enforce, checked before anything is priced or built
+        check_window(self.kernel, self.stride)
+        _check_heads(self.stage1_dim, self.outlooker_heads)
+        _check_heads(self.stage2_dim, self.transformer_heads)
+        mlp_hidden(self.stage1_dim, self.outlooker_mlp_ratio)
+        mlp_hidden(self.stage2_dim, self.transformer_mlp_ratio)
+        check_drop_rate(self.drop_path_rate)
         if self.stage1_dim * 2 != self.stage2_dim:
             warnings.warn(
                 f"stage2_dim {self.stage2_dim} is not twice stage1_dim {self.stage1_dim}",
@@ -100,9 +113,6 @@ class ModelConfig:
     @property
     def total_layers(self) -> int:
         return self.num_outlookers + self.num_transformers
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":

@@ -12,7 +12,8 @@ and each intermediate gradient as soon as its node has consumed it.  Only
 leaf gradients are returned.
 
 Only ``matmul``/``linear`` style primitives feed ``MADD_COUNTER`` (see
-``ops``); the counter is one process-wide total, lock-protected.
+``ops``); like the tape stack it is per thread, so threads never count each
+other's work.
 """
 
 from __future__ import annotations
@@ -92,11 +93,11 @@ class Tape:
         self._nodes: list[Node] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        stack = _tape_stack()
+        stack = _TAPES.stack
         if not stack or stack[-1] is not self:
             raise ContractError("tape stack corrupted: exited a tape that is not innermost")
         stack.pop()
@@ -109,19 +110,18 @@ class Tape:
         return len(self._nodes)
 
 
-_LOCAL = threading.local()
+class _TapeStack(threading.local):
+    """The calling thread's active tapes, innermost last."""
+
+    def __init__(self):
+        self.stack: list[Tape] = []
 
 
-def _tape_stack() -> list[Tape]:
-    stack = getattr(_LOCAL, "stack", None)
-    if stack is None:
-        stack = []
-        _LOCAL.stack = stack
-    return stack
+_TAPES = _TapeStack()
 
 
 def active_tape() -> Tape | None:
-    stack = _tape_stack()
+    stack = _TAPES.stack
     return stack[-1] if stack else None
 
 
@@ -188,32 +188,25 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
             for tid, t in leaves.items()}
 
 
-class MAddCounter:
-    """Lock-protected accumulator of multiply-add counts.
+class MAddCounter(threading.local):
+    """Per-thread accumulator of multiply-add counts.
 
-    Monotone non-decreasing between explicit resets.  Only matmul/linear
-    primitives add to it; softmax, normalization, and elementwise work do not.
+    Each thread sees only its own total, which starts at 0 and is monotone
+    non-decreasing.  Only matmul/linear primitives add to it; softmax,
+    normalization, and elementwise work do not.
     """
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._total = 0
+    _total = 0
 
     def add(self, count: int) -> None:
         count = int(count)
         if count < 0:
             raise ContractError(f"negative multiply-add count {count}")
-        with self._lock:
-            self._total += count
-
-    def reset(self) -> None:
-        with self._lock:
-            self._total = 0
+        self._total += count
 
     @property
     def total(self) -> int:
-        with self._lock:
-            return self._total
+        return self._total
 
 
 MADD_COUNTER = MAddCounter()

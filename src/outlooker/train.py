@@ -88,6 +88,8 @@ class AdamW:
     def __init__(self, params: list[Tensor], lr: float = 1e-3, weight_decay: float = 0.0):
         if lr <= 0:
             raise ContractError(f"lr must be positive, got {lr}")
+        if weight_decay < 0:
+            raise ContractError(f"weight_decay must be >= 0, got {weight_decay}")
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay

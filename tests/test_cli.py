@@ -13,8 +13,9 @@ import pytest
 from click.testing import CliRunner
 
 import outlooker
-from outlooker import PRESETS, count_params_config
+from outlooker import PRESETS, ModelConfig, count_params_config
 from outlooker.cli import main
+from outlooker.errors import ContractError, GeometryError, ShapeError
 
 
 @pytest.fixture
@@ -36,11 +37,14 @@ class TestInspect:
         assert result.exit_code == 2
 
     def test_config_file(self, runner, tmp_path):
+        # the "config" object of ``inspect --json`` is itself a config file
+        first = json.loads(runner.invoke(main, ["inspect", "--config", "tiny", "--json"]).output)
         path = tmp_path / "model.json"
-        path.write_text(PRESETS["tiny"].to_json())
+        path.write_text(json.dumps(first["config"]))
         result = runner.invoke(main, ["inspect", "--config", str(path), "--json"])
         assert result.exit_code == 0
-        assert json.loads(result.output)["params"] == count_params_config(PRESETS["tiny"])
+        again = json.loads(result.output)
+        assert (again["params"], again["madds"]) == (first["params"], first["madds"])
 
     def test_allocate_cross_check(self, runner):
         result = runner.invoke(main, ["inspect", "--config", "tiny", "--allocate"])
@@ -98,7 +102,7 @@ class TestTrainToy:
 
     def test_min_accuracy_gate_fails(self, runner):
         result = runner.invoke(main, [
-            "train-toy", "--steps", "2", "--per-class", "2", "--min-accuracy", "1.1",
+            "train-toy", "--steps", "2", "--per-class", "2", "--min-accuracy", "1.0",
         ])
         assert result.exit_code == 1
 
@@ -119,7 +123,9 @@ class TestGenData:
 @pytest.mark.parametrize("args", [
     ["inspect", "--config", "tiny", "--resolution", "-16"],
     ["oracle-check", "--seeds", "0"],
+    ["oracle-check", "--tolerance", "-1"],
     ["gradcheck", "--seeds", "0"],
+    ["gradcheck", "--tolerance", "-1"],
     ["bench", "--channels", "12", "--heads", "5"],
     ["bench", "--kernel", "4"],
     ["bench", "--reps", "0"],
@@ -128,6 +134,10 @@ class TestGenData:
     ["train-toy", "--per-class", "0", "--json"],
     ["train-toy", "--lr", "0", "--json"],
     ["train-toy", "--lr", "-1", "--json"],
+    ["train-toy", "--weight-decay", "-1", "--json"],
+    ["train-toy", "--log-every", "-1", "--json"],
+    ["train-toy", "--warmup", "-5", "--json"],
+    ["train-toy", "--min-accuracy", "1.5", "--json"],
     ["gen-data", "--classes", "0"],
     ["gen-data", "--per-class", "0"],
     ["gen-data", "--size", "0"],
@@ -136,6 +146,23 @@ def test_input_that_cannot_run_is_usage_error(runner, args, tmp_path):
     if args[0] == "gen-data":
         args = [*args, "--out", str(tmp_path / "toy.npz")]
     result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kernel", 4),
+    ("stride", 0),
+    ("outlooker_heads", 5),
+    ("drop_path_rate", 1.5),
+    ("num_outlookers", -1),
+    ("num_classes", 0),
+])
+def test_config_the_model_cannot_build_is_usage_error(runner, field, value, tmp_path):
+    with pytest.raises((ContractError, GeometryError, ShapeError)):
+        ModelConfig(**{field: value})
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({field: value}))
+    result = runner.invoke(main, ["inspect", "--config", str(path)])
     assert result.exit_code == 2, result.output
 
 

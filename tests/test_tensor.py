@@ -7,6 +7,7 @@ import pytest
 
 from outlooker import MADD_COUNTER, MAddCounter, Tape, Tensor, backward, trunc_normal
 from outlooker import ops
+from outlooker.attention import CostQuery, build_layer, layer_input, madds, measured_madds
 from outlooker.errors import ContractError
 
 
@@ -125,13 +126,11 @@ class TestTapeAndBackward:
 
 
 class TestMAddCounter:
-    def test_counts_and_resets(self):
+    def test_counts(self):
         counter = MAddCounter()
         counter.add(120)
         counter.add(7)
         assert counter.total == 127
-        counter.reset()
-        assert counter.total == 0
 
     def test_rejects_negative(self):
         counter = MAddCounter()
@@ -146,18 +145,43 @@ class TestMAddCounter:
         assert MADD_COUNTER.total - start == 120
 
     def test_thread_safety(self):
+        # each thread counts only its own adds; no thread sees another's
         counter = MAddCounter()
+        seen = []
 
         def work():
             for _ in range(1000):
                 counter.add(1)
+            seen.append(counter.total)
 
         threads = [threading.Thread(target=work) for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        assert counter.total == 8000
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [1000] * 8
+        assert counter.total == 0   # the main thread added nothing
+
+    def test_concurrent_measured_madds_are_exact(self):
+        query = CostQuery(12, 10, 16, 3, 4)
+        layer = build_layer("oa", query, np.random.default_rng(0), dtype=np.float32)
+        x = layer_input("oa", query, np.random.default_rng(1), dtype=np.float32)
+        barrier = threading.Barrier(2)
+        counts = [[], []]
+
+        def work(out):
+            barrier.wait(timeout=60)
+            for _ in range(25):
+                out.append(measured_madds(layer, x))
+
+        threads = [threading.Thread(target=work, args=(out,)) for out in counts]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert counts == [[madds(query, "oa")] * 25] * 2
 
 
 class TestTruncNormal:

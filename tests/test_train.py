@@ -104,6 +104,8 @@ class TestAdamW:
     def test_validation(self):
         with pytest.raises(ContractError):
             AdamW([], lr=0.0)
+        with pytest.raises(ContractError):
+            AdamW([], lr=0.1, weight_decay=-1.0)
 
 
 class TestTrainToy:
