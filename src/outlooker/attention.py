@@ -10,7 +10,7 @@ the same code with no leading axes.
 * ``LocalSelfAttention``: dot-product attention restricted to each token's
   K×K neighborhood (padded positions masked out of the softmax).
 * ``SelfAttention``: full scaled dot-product attention over a flat list.
-* ``Conv2d``: K×K cross-correlation, expressed as unfold + linear.
+* ``Conv2d``: K×K cross-correlation, one GEMM over the unfolded windows.
 
 The two dot-product layers (and the class-attention block) share
 ``MultiHeadCore``'s q/k/v/o projections and ``dot_product_attention``; all
@@ -30,8 +30,16 @@ import numpy as np
 
 from . import ops
 from .errors import ShapeError
-from .tensor import MADD_COUNTER, Tensor, trunc_normal
-from .windows import WindowGeometry, check_window, fold, in_bounds_mask, unfold
+from .tensor import MADD_COUNTER, Tensor, from_op, trunc_normal
+from .windows import (
+    WindowGeometry,
+    check_window,
+    fold,
+    fold_array,
+    in_bounds_mask,
+    unfold,
+    unfold_array,
+)
 
 INIT_STD = 0.02
 
@@ -215,7 +223,13 @@ class SelfAttention(MultiHeadCore):
 
 
 class Conv2d(Module):
-    """K×K cross-correlation with zero padding ⌊K/2⌋ and bias."""
+    """K×K cross-correlation with zero padding ⌊K/2⌋ and bias.
+
+    The forward is the GEMM of the unfolded window stack with the K²·Cin×Cout
+    weight, recorded as one tape node.  The node keeps the input and the
+    weight, not the stack: its backward re-unfolds the input for the weight
+    gradient and folds the stack gradient back onto the input.
+    """
 
     def __init__(self, rng, kernel: int, cin: int, cout: int, stride: int = 1,
                  dtype=np.float32):
@@ -230,14 +244,28 @@ class Conv2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim < 3 or x.shape[-1] != self.cin:
             raise ShapeError(f"expected (..., H, W, {self.cin}), got {x.shape}")
+        ops._same_dtype("conv", x, self.weight, self.bias)
         *lead, height, width, _ = x.shape
         geom = WindowGeometry(height, width, self.kernel, self.stride)
-        k2 = self.kernel * self.kernel
-        stack = unfold(x, geom)                               # (..., h·w, K², Cin)
-        flat = ops.reshape(stack, (*lead, geom.windows, k2 * self.cin))
-        wmat = ops.reshape(self.weight, (k2 * self.cin, self.cout))
-        out = ops.linear(flat, wmat, self.bias)
-        return ops.reshape(out, (*lead, geom.out_height, geom.out_width, self.cout))
+        k2, cin, cout = self.kernel * self.kernel, self.cin, self.cout
+        shape = (*lead, geom.windows, k2 * cin)
+        wmat = self.weight.data.reshape(k2 * cin, cout)
+        data = unfold_array(x.data, geom).reshape(shape) @ wmat + self.bias.data
+        MADD_COUNTER.add(math.prod(shape) * cout)
+        xdata, weight_shape, needs_gx = x.data, self.weight.shape, x.requires_grad
+
+        def backward_fn(g):
+            g = g.reshape(*lead, geom.windows, cout)
+            g2 = g.reshape(-1, cout)
+            gx = None
+            if needs_gx:
+                gx = fold_array((g @ wmat.T).reshape(*lead, geom.windows, k2, cin), geom)
+            stack = unfold_array(xdata, geom).reshape(-1, k2 * cin)
+            gw = (stack.T @ g2).reshape(weight_shape)
+            return (gx, gw, g2.sum(axis=0))
+
+        out = data.reshape(*lead, geom.out_height, geom.out_width, cout)
+        return from_op(out, (x, self.weight, self.bias), backward_fn)
 
     __call__ = forward
 

@@ -90,7 +90,7 @@ def oracle_check(
 
 GRADCHECK_KINDS = ("softmax", "log_softmax", "layer_norm", "gelu", "windows",
                    "avg_pool", "oa", "oa-s2", "lsa", "sa", "conv",
-                   "oblock", "tblock", "cablock")
+                   "oblock", "tblock", "cablock", "conv-s2")
 
 
 def _gradcheck_setup(kind: str, rng: np.random.Generator):
@@ -136,6 +136,8 @@ def _gradcheck_setup(kind: str, rng: np.random.Generator):
         layer, shape = SelfAttention(rng, 4, 2, dtype=np.float64), (6, 4)
     elif kind == "conv":
         layer, shape = Conv2d(rng, 3, 3, 4, dtype=np.float64), (3, 3, 3)
+    elif kind == "conv-s2":
+        layer, shape = Conv2d(rng, 3, 3, 4, stride=2, dtype=np.float64), (4, 3, 3)
     elif kind == "oblock":
         layer, shape = OutlookerBlock(rng, 4, 2, 3, 1, 3.0, dtype=np.float64), (3, 3, 4)
     elif kind == "tblock":

@@ -18,8 +18,9 @@ and matches the symbolic number exactly.
 from __future__ import annotations
 
 import json
+import typing
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -79,6 +80,13 @@ class ModelConfig:
     stage1_kind: str = "outlook"
 
     def __post_init__(self):
+        # each value must have its field's annotated type (an int passes as a
+        # float); bool is an int subclass but never a count or a rate
+        for f in fields(self):
+            value, want = getattr(self, f.name), _FIELD_TYPES[f.name]
+            allowed = (int, float) if want is float else want
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ContractError(f"{f.name} must be {want.__name__}, got {value!r}")
         if self.stage1_kind not in STAGE1_KINDS:
             raise ContractError(
                 f"stage1_kind {self.stage1_kind!r} not one of {STAGE1_KINDS}"
@@ -125,6 +133,8 @@ class ModelConfig:
             raise ContractError(f"unknown config fields: {sorted(unknown)}")
         return cls(**raw)
 
+
+_FIELD_TYPES = typing.get_type_hints(ModelConfig)
 
 PRESETS: dict[str, ModelConfig] = {
     "d1": ModelConfig(stage1_dim=192, stage2_dim=384, num_outlookers=4, num_transformers=14,

@@ -142,9 +142,10 @@ def expand(x: Tensor, batch: int) -> Tensor:
 def reshape(x: Tensor, shape) -> Tensor:
     """Row-major reindex to a new shape with the same number of elements."""
     data = x.data.reshape(shape)
+    in_shape = x.shape
 
     def backward_fn(g):
-        return (np.reshape(g, x.shape),)
+        return (np.reshape(g, in_shape),)
 
     return from_op(data, (x,), backward_fn)
 
@@ -188,9 +189,10 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
         )
     index = (slice(None),) * axis + (slice(start, start + length),)
     data = x.data[index]
+    in_shape, dtype = x.shape, x.dtype
 
     def backward_fn(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(in_shape, dtype=dtype)
         full[index] = g
         return (full,)
 
@@ -273,9 +275,10 @@ def gelu(x: Tensor) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     """Sum of all elements, as a rank-0 tensor."""
     data = np.asarray(x.data.sum(), dtype=x.data.dtype)
+    in_shape, dtype = x.shape, x.dtype
 
     def backward_fn(g):
-        return (np.ones_like(x.data) * g,)
+        return (np.ones(in_shape, dtype=dtype) * g,)
 
     return from_op(data, (x,), backward_fn)
 

@@ -1,23 +1,28 @@
 """Tensors, the gradient tape, and the multiply-add counter.
 
 The autodiff model is a classic Wengert list: while a ``Tape`` is active,
-every primitive records the tensors it read, the tensor it produced, and a
-closure mapping the output gradient to input gradients.  ``backward`` pops
-the list from the end.  Recording order is a topological order of the
-computation (an input must exist before an op can consume it), so the reverse
-replay is an exact reverse topological order and each node's output gradient
-is complete before the node runs.  The replay consumes the tape: each node,
-with its closure and the activations it holds, is dropped once it has run,
-and each intermediate gradient as soon as its node has consumed it.  Only
-leaf gradients are returned.
+every primitive records a node holding a closure that maps the output
+gradient to input gradients, the key of the tensor it produced, and for each
+input the key and shape of the node on this tape that produced it, the input
+itself when it is a leaf (a parameter or an input), or nothing when it needs
+no gradient.  A node holds no intermediate ``Tensor``, so an activation stays
+alive only while some backward closure reads it.  ``backward`` pops the list
+from the end.  Recording order is a topological order of the computation (an
+input must exist before an op can consume it), so the reverse replay is an
+exact reverse topological order and each node's output gradient is complete
+before the node runs.  The replay consumes the tape: each node, with its
+closure and the activations it holds, is dropped once it has run, and each
+intermediate gradient as soon as its node has consumed it.  Only leaf
+gradients are returned.
 
-Only ``matmul``/``linear`` style primitives feed ``MADD_COUNTER`` (see
-``ops``); like the tape stack it is per thread, so threads never count each
+Only the GEMMs (``ops.matmul``, ``ops.linear`` and ``attention.Conv2d``) feed
+``MADD_COUNTER``; like the tape stack it is per thread, so threads never count each
 other's work.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Callable, Sequence
 
@@ -37,7 +42,7 @@ class Tensor:
     gradients live in the map ``backward`` returns, not on the tensor.
     """
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data", "requires_grad", "_key")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -51,6 +56,7 @@ class Tensor:
             )
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
+        self._key: int | None = None   # the producing node's key while taped
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -79,7 +85,14 @@ class Tensor:
 
 
 BackwardFn = Callable[[np.ndarray], Sequence["np.ndarray | None"]]
-Node = tuple[tuple[Tensor, ...], Tensor, BackwardFn]
+# What a node keeps of one input: None (no gradient), (key, shape) of a tensor
+# this tape produced, or the leaf Tensor itself.
+NodeInput = "None | tuple[int, tuple[int, ...]] | Tensor"
+Node = tuple[tuple[NodeInput, ...], int, BackwardFn]
+
+# One process-wide source of node keys: unique across tapes and threads, and,
+# unlike id(), never reused after the tensor it names has died.
+_NODE_KEYS = itertools.count()
 
 
 class Tape:
@@ -87,10 +100,14 @@ class Tape:
 
     A tape is single-threaded: enter it as a context manager, run the forward
     computation inside, then call ``backward(loss, tape)``, which empties it.
+    Each node holds its backward closure, its output's key and, per input,
+    ``None``, a ``(key, shape)`` pair or a leaf ``Tensor``; the set of keys the
+    tape produced tells an intermediate input from a leaf.
     """
 
     def __init__(self):
         self._nodes: list[Node] = []
+        self._produced: set[int] = set()
 
     def __enter__(self) -> "Tape":
         _TAPES.stack.append(self)
@@ -104,7 +121,22 @@ class Tape:
         return False
 
     def record(self, inputs: Sequence[Tensor], output: Tensor, backward_fn: BackwardFn) -> None:
-        self._nodes.append((tuple(inputs), output, backward_fn))
+        """Append one node and give ``output`` a fresh key.
+
+        An input this tape produced is kept as its key and shape, so the node
+        does not keep its array alive; a requires_grad input it did not
+        produce is a leaf and is kept as the tensor; any other input as None.
+        """
+        produced = self._produced
+        refs = tuple(
+            None if not t.requires_grad
+            else (t._key, t.shape) if t._key in produced
+            else t
+            for t in inputs
+        )
+        key = output._key = next(_NODE_KEYS)
+        produced.add(key)
+        self._nodes.append((refs, key, backward_fn))
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -144,7 +176,8 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
     A leaf is a requires_grad input of a recorded node that no node on the
     tape produced: a parameter or an input.  Returns a map from every leaf to
     its gradient (zeros if the loss does not depend on it); intermediate
-    tensors are not keys.  The replay consumes the tape, so ``len(tape)`` is
+    tensors are not keys.  Intermediate gradients are keyed by node key, leaf
+    gradients by the leaf.  The replay consumes the tape, so ``len(tape)`` is
     0 afterwards.  Raises ``ContractError`` for a non-scalar loss and for a
     loss no node on the tape produced (including a second call on the same
     tape).
@@ -153,46 +186,49 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
         raise ContractError(f"loss must be a Tensor, got {type(loss).__name__}")
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
-    nodes = tape._nodes
-    produced = {id(output) for _, output, _ in nodes}
-    if id(loss) not in produced:
+    if loss._key is None or loss._key not in tape._produced:
         raise ContractError("loss was not recorded on this tape (or the tape was consumed)")
+    nodes = tape._nodes
+    tape._produced = set()
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    leaves: dict[int, Tensor] = {}
+    grads: dict[int, np.ndarray] = {loss._key: np.ones_like(loss.data)}
+    leaves: dict[Tensor, np.ndarray | None] = {}
     while nodes:
-        inputs, output, backward_fn = nodes.pop()
-        for t in inputs:
-            if t.requires_grad and id(t) not in produced:
-                leaves.setdefault(id(t), t)
-        out_grad = grads.pop(id(output), None)
+        refs, key, backward_fn = nodes.pop()
+        for ref in refs:
+            if isinstance(ref, Tensor):
+                leaves.setdefault(ref, None)
+        out_grad = grads.pop(key, None)
         if out_grad is None:
             continue
         in_grads = backward_fn(out_grad)
-        if len(in_grads) != len(inputs):
+        if len(in_grads) != len(refs):
             raise ContractError(
                 f"backward closure returned {len(in_grads)} gradients for "
-                f"{len(inputs)} inputs"
+                f"{len(refs)} inputs"
             )
-        for t, g in zip(inputs, in_grads):
-            if g is None or not t.requires_grad:
+        for ref, g in zip(refs, in_grads):
+            if g is None or ref is None:
                 continue
-            if g.shape != t.data.shape:
+            if isinstance(ref, Tensor):
+                into, slot, shape = leaves, ref, ref.shape
+            else:
+                into, (slot, shape) = grads, ref
+            if g.shape != shape:
                 raise ContractError(
-                    f"gradient shape {g.shape} does not match tensor shape {t.data.shape}"
+                    f"gradient shape {g.shape} does not match tensor shape {shape}"
                 )
-            acc = grads.get(id(t))
-            grads[id(t)] = g if acc is None else acc + g
+            acc = into.get(slot)
+            into[slot] = g if acc is None else acc + g
 
-    return {t: grads[tid] if tid in grads else np.zeros_like(t.data)
-            for tid, t in leaves.items()}
+    return {t: np.zeros_like(t.data) if g is None else g for t, g in leaves.items()}
 
 
 class MAddCounter(threading.local):
     """Per-thread accumulator of multiply-add counts.
 
     Each thread sees only its own total, which starts at 0 and is monotone
-    non-decreasing.  Only matmul/linear primitives add to it; softmax,
+    non-decreasing.  Only the matmul, linear and conv GEMMs add to it; softmax,
     normalization, and elementwise work do not.
     """
 

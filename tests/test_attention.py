@@ -5,19 +5,23 @@ import numpy as np
 import pytest
 
 from outlooker import (
+    MADD_COUNTER,
     Conv2d,
     CostQuery,
     LocalSelfAttention,
     OutlookAttention,
     SelfAttention,
+    Tape,
     Tensor,
     WindowGeometry,
+    backward,
     build_layer,
     fold_array,
     layer_input,
     madds,
     measured_madds,
     ops,
+    unfold,
     unfold_array,
 )
 from outlooker.attention import merge_heads, split_heads
@@ -66,6 +70,42 @@ class TestConstruction:
         assert sa.forward(maps(30, 8)).shape == (30, 8)
         conv = Conv2d(np.random.default_rng(0), 3, 8, 12)
         assert conv.forward(maps(5, 6, 8)).shape == (5, 6, 12)
+
+
+class TestConvTapeNode:
+    @pytest.mark.parametrize("kernel, stride", [(3, 1), (7, 2)])
+    def test_one_node_bit_equal_to_unfold_then_linear(self, rng, kernel, stride):
+        conv = Conv2d(np.random.default_rng(3), kernel, 3, 8, stride=stride)
+        conv.bias.data[...] = rng.standard_normal(8)
+        x = Tensor(rng.standard_normal((2, 9, 10, 3)), dtype=np.float32, requires_grad=True)
+        geom = WindowGeometry(9, 10, kernel, stride)
+        probe = Tensor(rng.standard_normal((2, geom.out_height, geom.out_width, 8)),
+                       dtype=np.float32)
+
+        def composed(t):
+            rows = kernel * kernel * 3
+            flat = ops.reshape(unfold(t, geom), (2, geom.windows, rows))
+            out = ops.linear(flat, ops.reshape(conv.weight, (rows, 8)), conv.bias)
+            return ops.reshape(out, probe.shape)
+
+        def run(forward):
+            start = MADD_COUNTER.total
+            with Tape() as tape:
+                out = forward(x)
+                nodes = len(tape)
+                loss = ops.sum_all(ops.mul(out, probe))
+            counted = MADD_COUNTER.total - start
+            grads = backward(loss, tape)
+            return out.data, [grads[t] for t in (x, conv.weight, conv.bias)], nodes, counted
+
+        out, grads, nodes, counted = run(conv.forward)
+        want_out, want_grads, want_nodes, want_counted = run(composed)
+        assert (nodes, want_nodes) == (1, 5)
+        assert counted == want_counted == geom.windows * 2 * kernel * kernel * 3 * 8
+        np.testing.assert_array_equal(out, want_out)
+        for got, want in zip(grads, want_grads):
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, want)
 
 
 class TestOutlookIdentities:

@@ -166,6 +166,22 @@ def test_config_the_model_cannot_build_is_usage_error(runner, field, value, tmp_
     assert result.exit_code == 2, result.output
 
 
+@pytest.mark.parametrize("field, value", [
+    ("num_outlookers", 2.5),
+    ("kernel", 3.0),
+    ("stage1_dim", 192.0),
+    ("num_classes", True),
+])
+def test_config_field_of_the_wrong_type_is_usage_error(runner, field, value, tmp_path):
+    # each value is in range, so only its type keeps it from being priced
+    with pytest.raises(ContractError):
+        ModelConfig(**{field: value})
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({field: value}))
+    result = runner.invoke(main, ["inspect", "--config", str(path)])
+    assert result.exit_code == 2, result.output
+
+
 class TestModuleEntry:
     def test_python_m_runs_the_cli(self):
         # ``python -m outlooker.cli`` must reach main(), not import and exit

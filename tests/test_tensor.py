@@ -1,11 +1,22 @@
 """Tensor container, tape recording, backward driver, counter, init."""
 
+import gc
+import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
-from outlooker import MADD_COUNTER, MAddCounter, Tape, Tensor, backward, trunc_normal
+from outlooker import (
+    MADD_COUNTER,
+    MAddCounter,
+    OutlookAttention,
+    Tape,
+    Tensor,
+    backward,
+    trunc_normal,
+)
 from outlooker import ops
 from outlooker.attention import CostQuery, build_layer, layer_input, madds, measured_madds
 from outlooker.errors import ContractError
@@ -123,6 +134,116 @@ class TestTapeAndBackward:
             grads_outer = backward(loss, outer)
         np.testing.assert_allclose(grads_inner[x], [5.0])
         np.testing.assert_allclose(grads_outer[x], [2.0])
+
+
+class TestTapeRetention:
+    """A tape node keeps keys for intermediates; only closures keep arrays."""
+
+    def test_intermediate_no_closure_reads_dies_while_the_tape_lives(self):
+        x = Tensor(np.ones((3, 4)), requires_grad=True)
+        with Tape() as tape:
+            y = ops.scale(x, 0.5)
+            probe = weakref.ref(y.data)
+            s = ops.softmax(y)     # its backward reads its output, not y
+            del y
+            gc.collect()
+            assert probe() is None
+            assert len(tape) == 2
+            grads = backward(ops.sum_all(ops.mul(s, s)), tape)
+        assert grads[x].shape == (3, 4)
+
+    @pytest.mark.parametrize("op, want", [
+        (lambda t: ops.reshape(t, (12,)), np.full((3, 4), 0.5)),
+        (lambda t: ops.narrow(t, 0, 1, 2), np.repeat([[0.0], [0.5], [0.5]], 4, axis=1)),
+        (ops.sum_all, np.full((3, 4), 0.5)),
+    ], ids=["reshape", "narrow", "sum_all"])
+    def test_backward_that_reads_only_a_shape_keeps_no_array(self, op, want):
+        x = Tensor(np.ones((3, 4)), requires_grad=True)
+        with Tape() as tape:
+            y = ops.scale(x, 0.5)
+            probe = weakref.ref(y.data)
+            loss = ops.sum_all(op(y))
+            del y
+            gc.collect()
+            assert probe() is None
+            grads = backward(loss, tape)
+        np.testing.assert_array_equal(grads[x], want)
+
+    def test_long_chain_with_reused_ids_is_exact(self):
+        # each intermediate dies as soon as the next one exists, so CPython
+        # hands its id() to a later tensor; node keys are never reused
+        x = Tensor(np.ones(5, dtype=np.float32), requires_grad=True)
+        ids = set()
+        with Tape() as tape:
+            t = x
+            for _ in range(200):
+                t = ops.scale(t, 1.01)
+                ids.add(id(t))
+            loss = ops.sum_all(t)
+        assert len(ids) < 200
+        grads = backward(loss, tape)
+        want = np.ones(5, dtype=np.float32)
+        for _ in range(200):
+            want = want * 1.01
+        assert grads[x].dtype == np.float32
+        np.testing.assert_array_equal(grads[x], want)
+
+    def test_node_keys_are_unique_across_threads(self):
+        # more threads than cores, switching often, all drawing node keys
+        x = Tensor(np.ones(2), requires_grad=True)
+        keys = [[] for _ in range(4)]
+
+        def work(out):
+            with Tape():
+                for _ in range(2000):
+                    out.append(ops.scale(x, 2.0)._key)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(out,)) for out in keys]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        drawn = [k for out in keys for k in out]
+        assert len(drawn) == 8000 and len(set(drawn)) == 8000
+
+    def test_two_threads_tape_and_backpropagate_independently(self, rng):
+        layer = OutlookAttention(np.random.default_rng(0), 8, 2, 3)
+        x = Tensor(rng.standard_normal((5, 6, 8)), dtype=np.float32, requires_grad=True)
+        probe = Tensor(rng.standard_normal((5, 6, 8)), dtype=np.float32)
+        leaves = [x] + layer.parameters()
+
+        def step():
+            with Tape() as tape:
+                loss = ops.sum_all(ops.mul(layer.forward(x), probe))
+            grads = backward(loss, tape)
+            return [grads[t] for t in leaves]
+
+        solo = step()
+        barrier = threading.Barrier(2)
+        runs = [[], []]
+
+        def work(out):
+            barrier.wait(timeout=60)
+            for _ in range(20):
+                out.append(step())
+
+        threads = [threading.Thread(target=work, args=(out,)) for out in runs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        for out in runs:
+            assert len(out) == 20
+            for grads in out:
+                for got, want in zip(grads, solo):
+                    np.testing.assert_array_equal(got, want)
 
 
 class TestMAddCounter:
