@@ -191,13 +191,13 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
     nodes = tape._nodes
     tape._produced = set()
 
-    grads: dict[int, np.ndarray] = {loss._key: np.ones_like(loss.data)}
-    leaves: dict[Tensor, np.ndarray | None] = {}
+    grads: dict[int | Tensor, np.ndarray] = {loss._key: np.ones_like(loss.data)}
+    leaves: dict[Tensor, None] = {}     # insertion-ordered set
     while nodes:
         refs, key, backward_fn = nodes.pop()
         for ref in refs:
             if isinstance(ref, Tensor):
-                leaves.setdefault(ref, None)
+                leaves[ref] = None
         out_grad = grads.pop(key, None)
         if out_grad is None:
             continue
@@ -210,18 +210,15 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
         for ref, g in zip(refs, in_grads):
             if g is None or ref is None:
                 continue
-            if isinstance(ref, Tensor):
-                into, slot, shape = leaves, ref, ref.shape
-            else:
-                into, (slot, shape) = grads, ref
+            slot, shape = (ref, ref.shape) if isinstance(ref, Tensor) else ref
             if g.shape != shape:
                 raise ContractError(
                     f"gradient shape {g.shape} does not match tensor shape {shape}"
                 )
-            acc = into.get(slot)
-            into[slot] = g if acc is None else acc + g
+            acc = grads.get(slot)
+            grads[slot] = g if acc is None else acc + g
 
-    return {t: np.zeros_like(t.data) if g is None else g for t, g in leaves.items()}
+    return {t: grads[t] if t in grads else np.zeros_like(t.data) for t in leaves}
 
 
 class MAddCounter(threading.local):
