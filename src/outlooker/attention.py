@@ -13,9 +13,11 @@ the same code with no leading axes.
 * ``Conv2d``: K×K cross-correlation, one GEMM over the unfolded windows.
 
 The two dot-product layers (and the class-attention block) share
-``MultiHeadCore``'s q/k/v/o projections and ``dot_product_attention``; all
-attention layers lay heads out as (..., heads, L, C/heads) via
-``split_heads``/``merge_heads``.
+``MultiHeadCore``'s q/k/v/o projections and ``dot_product_attention``, which
+lays heads out as (..., heads, L, C/heads) via ``split_heads``/``merge_heads``.
+``OutlookAttention`` has no head copies of its own: it unfolds its values
+straight into a head-major (..., windows, heads, K², C/heads) stack and folds
+the mixed stack back from that layout (``unfold``/``fold`` with ``heads=``).
 
 ``madds`` gives the closed-form cost of each layer kind at stride 1;
 ``measured_madds`` runs the instrumented counter, which matches it exactly.
@@ -33,6 +35,7 @@ from .errors import ShapeError
 from .tensor import MADD_COUNTER, Tensor, from_op, trunc_normal
 from .windows import (
     WindowGeometry,
+    check_heads,
     check_window,
     fold,
     fold_array,
@@ -78,11 +81,6 @@ class Module:
         return [p for _, p in self.named_params()]
 
 
-def _check_heads(channels: int, heads: int) -> None:
-    if heads < 1 or channels % heads != 0:
-        raise ShapeError(f"channels {channels} not divisible by heads {heads}")
-
-
 def split_heads(t: Tensor, heads: int) -> Tensor:
     """(..., L, C) → (..., heads, L, C/heads)."""
     *lead, length, channels = t.shape
@@ -124,7 +122,7 @@ class MultiHeadCore(Module):
     """The q/k/v/o projections (C×C, with bias) of the dot-product attention layers."""
 
     def __init__(self, rng, channels: int, heads: int, dtype=np.float32):
-        _check_heads(channels, heads)
+        check_heads(channels, heads)
         self.channels = channels
         self.heads = heads
         for name in ("q", "k", "v", "o"):
@@ -145,7 +143,7 @@ class OutlookAttention(Module):
 
     def __init__(self, rng, channels: int, heads: int, kernel: int = 3, stride: int = 1,
                  dtype=np.float32):
-        _check_heads(channels, heads)
+        check_heads(channels, heads)
         check_window(kernel, stride)
         self.channels = channels
         self.heads = heads
@@ -167,13 +165,13 @@ class OutlookAttention(Module):
         k2 = self.kernel * self.kernel
 
         values = ops.linear(x, self.w_v)                      # (..., H, W, C)
-        stack = split_heads(unfold(values, geom), self.heads)  # (..., h·w, heads, K², cn)
+        stack = unfold(values, geom, self.heads)              # (..., h·w, heads, K², cn)
 
         pooled = ops.avg_pool(x, self.stride)                 # identity at stride 1
         logits = ops.linear(pooled, self.w_a, self.b_a)       # (..., h, w, heads·K⁴)
         attn = ops.softmax(ops.reshape(logits, (*lead, h * w, self.heads, k2, k2)))
-        mixed = merge_heads(ops.matmul(attn, stack))          # (..., h·w, K², C)
-        return ops.linear(fold(mixed, geom), self.w_o, self.b_o)
+        mixed = ops.matmul(attn, stack)                       # (..., h·w, heads, K², cn)
+        return ops.linear(fold(mixed, geom, self.heads), self.w_o, self.b_o)
 
     __call__ = forward
 

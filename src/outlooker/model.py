@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import ops
-from .attention import Conv2d, CostQuery, Module, _check_heads, _oa_madds, _param, _zeros, madds
+from .attention import Conv2d, CostQuery, Module, _oa_madds, _param, _zeros, madds
 from .blocks import (
     ClassAttentionBlock,
     ConvBlock,
@@ -40,7 +40,7 @@ from .blocks import (
 )
 from .errors import ContractError, ShapeError
 from .tensor import Tensor
-from .windows import WindowGeometry, check_window
+from .windows import WindowGeometry, check_heads, check_window
 
 STAGE1_KINDS = ("outlook", "lsa", "conv")
 STEM_HIDDEN = 64
@@ -99,8 +99,8 @@ class ModelConfig:
         _grids(self.image_size)   # rejects a size the stem and downsample cannot tile
         # the rules the layers enforce, checked before anything is priced or built
         check_window(self.kernel, self.stride)
-        _check_heads(self.stage1_dim, self.outlooker_heads)
-        _check_heads(self.stage2_dim, self.transformer_heads)
+        check_heads(self.stage1_dim, self.outlooker_heads)
+        check_heads(self.stage2_dim, self.transformer_heads)
         mlp_hidden(self.stage1_dim, self.outlooker_mlp_ratio)
         mlp_hidden(self.stage2_dim, self.transformer_mlp_ratio)
         check_drop_rate(self.drop_path_rate)

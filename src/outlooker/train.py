@@ -106,13 +106,27 @@ class AdamW:
             if g is None:
                 continue
             g = g.astype(p.data.dtype, copy=False)
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * g * g
-            if self.weight_decay and p.ndim >= 2:
-                p.data -= self.lr * self.weight_decay * p.data
-            mhat = self._m[i] / bc1
-            vhat = self._v[i] / bc2
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            m, v = self._m[i], self._v[i]
+            # two scratch arrays instead of a temporary per operator; each
+            # line keeps the operand order of the expression in its comment
+            upd, den = np.empty_like(m), np.empty_like(m)
+            np.multiply(g, 1.0 - self.beta1, out=upd)           # m = b1·m + (1-b1)·g
+            np.multiply(m, self.beta1, out=m)
+            np.add(m, upd, out=m)
+            np.multiply(g, 1.0 - self.beta2, out=upd)           # v = b2·v + ((1-b2)·g)·g
+            np.multiply(upd, g, out=upd)
+            np.multiply(v, self.beta2, out=v)
+            np.add(v, upd, out=v)
+            if self.weight_decay and p.ndim >= 2:               # p -= (lr·wd)·p
+                np.multiply(p.data, self.lr * self.weight_decay, out=upd)
+                np.subtract(p.data, upd, out=p.data)
+            np.divide(m, bc1, out=upd)                          # p -= lr·m̂ / (√v̂ + eps)
+            np.multiply(upd, self.lr, out=upd)
+            np.divide(v, bc2, out=den)
+            np.sqrt(den, out=den)
+            np.add(den, self.eps, out=den)
+            np.divide(upd, den, out=upd)
+            np.subtract(p.data, upd, out=p.data)
 
 
 @dataclass

@@ -16,6 +16,7 @@ from outlooker import (
     WindowGeometry,
     backward,
     build_layer,
+    fold,
     fold_array,
     layer_input,
     madds,
@@ -102,6 +103,41 @@ class TestConvTapeNode:
         want_out, want_grads, want_nodes, want_counted = run(composed)
         assert (nodes, want_nodes) == (1, 5)
         assert counted == want_counted == geom.windows * 2 * kernel * kernel * 3 * 8
+        np.testing.assert_array_equal(out, want_out)
+        for got, want in zip(grads, want_grads):
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, want)
+
+
+class TestOutlookHeadMajor:
+    @pytest.mark.parametrize("stride, want_nodes", [(1, 10), (2, 11)])
+    def test_bit_equal_to_split_merge_composition(self, rng, stride, want_nodes):
+        # the layer unfolds values head-major and folds back from that layout;
+        # the reference splits the heads out of a plain stack and merges them back
+        layer = OutlookAttention(np.random.default_rng(3), 12, 3, 3, stride=stride)
+        layer.b_a.data[...] = rng.standard_normal(layer.b_a.shape)
+        x = Tensor(rng.standard_normal((2, 9, 10, 12)), dtype=np.float32, requires_grad=True)
+        probe = Tensor(rng.standard_normal((2, 9, 10, 12)), dtype=np.float32)
+        geom = WindowGeometry(9, 10, 3, stride)
+
+        def composed(t):
+            stack = split_heads(unfold(ops.linear(t, layer.w_v), geom), 3)
+            logits = ops.linear(ops.avg_pool(t, stride), layer.w_a, layer.b_a)
+            attn = ops.softmax(ops.reshape(logits, (2, geom.windows, 3, 9, 9)))
+            mixed = merge_heads(ops.matmul(attn, stack))
+            return ops.linear(fold(mixed, geom), layer.w_o, layer.b_o)
+
+        def run(forward):
+            with Tape() as tape:
+                out = forward(x)
+                loss = ops.sum_all(ops.mul(out, probe))
+                nodes = len(tape)
+            grads = backward(loss, tape)
+            return out.data, [grads[t] for t in (x, *layer.parameters())], nodes
+
+        out, grads, nodes = run(layer.forward)
+        want_out, want_grads, want_nodes_composed = run(composed)
+        assert (nodes, want_nodes_composed) == (want_nodes, want_nodes + 4)
         np.testing.assert_array_equal(out, want_out)
         for got, want in zip(grads, want_grads):
             assert got.dtype == np.float32

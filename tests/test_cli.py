@@ -115,9 +115,9 @@ class TestGenData:
             "--per-class", "2",
         ])
         assert result.exit_code == 0
-        blob = np.load(out)
-        assert blob["images"].shape == (6, 16, 16, 3)
-        assert blob["labels"].shape == (6,)
+        with np.load(out) as blob:
+            assert blob["images"].shape == (6, 16, 16, 3)
+            assert blob["labels"].shape == (6,)
 
 
 @pytest.mark.parametrize("args", [

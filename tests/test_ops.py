@@ -122,6 +122,25 @@ class TestSoftmax:
         got = ops.softmax(Tensor(x, dtype=np.float64)).data
         np.testing.assert_allclose(got, [[0.5, 0.0, 0.5]], atol=1e-15)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2, 9, 16, 17, 196])
+    def test_bit_equal_to_np_max_reference(self, rng, n, dtype):
+        # rows up to 16 wide take their max column by column, longer rows
+        # with np.max; both must give the reference's bits
+        x = (10.0 * rng.standard_normal((4, 3, n))).astype(dtype)
+        x[0, 0, : n // 2] = -np.inf         # masked slots, as in local self-attention
+        x[1, 2, n - 1] = np.nan
+        x[2, 1, n - 1] = 100.0              # a row whose max is its last entry
+        before = x.copy()
+        with np.errstate(invalid="ignore"):
+            got = ops.softmax(Tensor(x)).data
+            e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+            want = e / np.sum(e, axis=-1, keepdims=True)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+        assert np.isnan(got[1, 2]).all() and not np.isnan(got[[0, 2, 3]]).any()
+        np.testing.assert_array_equal(x, before)
+
     def test_log_softmax_consistent(self, rng):
         x = Tensor(rng.standard_normal((4, 7)), dtype=np.float64)
         np.testing.assert_allclose(np.exp(ops.log_softmax(x).data),

@@ -1,5 +1,7 @@
 """Window geometry, unfold/fold, adjointness, coverage, bounds masks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -173,3 +175,76 @@ class TestShapeChecks:
         geom = WindowGeometry(4, 4, 3)
         with pytest.raises(ShapeError):
             fold(Tensor(np.zeros((15, 9, 2))), geom)
+
+
+def _split(stack, heads):
+    """(..., windows, K², C) → (..., windows, heads, K², C/heads), as split_heads does."""
+    *lead, windows, k2, channels = stack.shape
+    split = stack.reshape(*lead, windows, k2, heads, channels // heads)
+    return np.ascontiguousarray(np.moveaxis(split, -2, -3))
+
+
+def _merge(stack):
+    """The inverse of ``_split``."""
+    *lead, windows, heads, k2, dh = stack.shape
+    return np.ascontiguousarray(np.moveaxis(stack, -3, -2)).reshape(*lead, windows, k2, heads * dh)
+
+
+def head_major_cases():
+    # C = 6 splits into 1, 2, 3 or 6 heads
+    return itertools.product(random_geometries(), [(), (2,)], [1, 2, 3, 6])
+
+
+class TestHeadMajor:
+    def test_unfold_equals_split_of_plain_stack(self):
+        rng = np.random.default_rng(11)
+        for geom, lead, heads in head_major_cases():
+            x = rng.standard_normal((*lead, geom.height, geom.width, 6)).astype(np.float32)
+            got = unfold_array(x, geom, heads)
+            assert got.shape == (*lead, geom.windows, heads, geom.kernel**2, 6 // heads)
+            np.testing.assert_array_equal(got, _split(unfold_array(x, geom), heads))
+
+    def test_fold_equals_fold_of_merged_stack(self):
+        rng = np.random.default_rng(12)
+        for geom, lead, heads in head_major_cases():
+            shape = (*lead, geom.windows, heads, geom.kernel**2, 6 // heads)
+            y = rng.standard_normal(shape).astype(np.float32)
+            got = fold_array(y, geom, heads)
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, fold_array(_merge(y), geom))
+
+    def test_inner_products_agree(self):
+        rng = np.random.default_rng(13)
+        for geom, lead, heads in head_major_cases():
+            x = rng.standard_normal((*lead, geom.height, geom.width, 6))
+            y = rng.standard_normal((*lead, geom.windows, heads, geom.kernel**2, 6 // heads))
+            lhs = float(np.sum(unfold_array(x, geom, heads) * y))
+            rhs = float(np.sum(x * fold_array(y, geom, heads)))
+            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
+
+    def test_backward_is_the_other_kernel(self):
+        rng = np.random.default_rng(14)
+        geom = WindowGeometry(5, 4, 3, stride=2)
+        x = Tensor(rng.standard_normal((2, 5, 4, 6)), dtype=np.float64, requires_grad=True)
+        y = Tensor(rng.standard_normal((2, geom.windows, 3, 9, 2)), dtype=np.float64,
+                   requires_grad=True)
+        probe_x = rng.standard_normal(y.shape)
+        probe_y = rng.standard_normal(x.shape)
+        with Tape() as tape:
+            loss = ops.add(ops.sum_all(ops.mul(unfold(x, geom, 3), Tensor(probe_x))),
+                           ops.sum_all(ops.mul(fold(y, geom, 3), Tensor(probe_y))))
+            grads = backward(loss, tape)
+        np.testing.assert_array_equal(grads[x], fold_array(probe_x, geom, 3))
+        np.testing.assert_array_equal(grads[y], unfold_array(probe_y, geom, 3))
+
+    def test_wrong_head_major_stack_shape(self):
+        geom = WindowGeometry(4, 4, 3)
+        for shape in [(16, 2, 9), (15, 2, 9, 3), (16, 3, 9, 2), (16, 2, 8, 3), (16, 9, 6)]:
+            with pytest.raises(ShapeError):
+                fold(Tensor(np.zeros(shape)), geom, 2)
+
+    def test_heads_must_divide_channels(self):
+        geom = WindowGeometry(4, 4, 3)
+        for heads in (0, 4):
+            with pytest.raises(ShapeError):
+                unfold(Tensor(np.zeros((4, 4, 6))), geom, heads)
