@@ -12,12 +12,15 @@ the same code with no leading axes.
 * ``SelfAttention``: full scaled dot-product attention over a flat list.
 * ``Conv2d``: K×K cross-correlation, one GEMM over the unfolded windows.
 
-The two dot-product layers (and the class-attention block) share
-``MultiHeadCore``'s q/k/v/o projections and ``dot_product_attention``, which
-lays heads out as (..., heads, L, C/heads) via ``split_heads``/``merge_heads``.
-``OutlookAttention`` has no head copies of its own: it unfolds its values
-straight into a head-major (..., windows, heads, K², C/heads) stack and folds
-the mixed stack back from that layout (``unfold``/``fold`` with ``heads=``).
+The two dot-product layers share ``MultiHeadCore``'s q/k/v/o projections.
+``SelfAttention`` and the class-attention block attend over flat token lists
+with ``dot_product_attention``, which lays heads out as (..., heads, L,
+C/heads) via ``split_heads``/``merge_heads``.  The window layers make no head
+copies: they unfold straight into the head-major (..., windows, heads, K²,
+C/heads) stack of ``windows``.  ``OutlookAttention`` mixes its value stack
+and folds it back from that layout; ``LocalSelfAttention`` multiplies its key
+stack by each token's one query, (K², dh) @ (dh, 1), and its value stack by
+the masked softmax of those scores.
 
 ``madds`` gives the closed-form cost of each layer kind at stride 1;
 ``measured_madds`` runs the instrumented counter, which matches it exactly.
@@ -97,14 +100,11 @@ def merge_heads(t: Tensor) -> Tensor:
     return ops.reshape(t, (*lead, length, heads * dh))
 
 
-def dot_product_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-                          mask: np.ndarray | None = None) -> Tensor:
-    """Multi-head softmax(q·kᵀ/√dh [+ mask])·v on projected tokens.
+def dot_product_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head softmax(q·kᵀ/√dh)·v on projected token lists.
 
     ``q``: (..., Lq, C); ``k``, ``v``: (..., Lk, C) with the same leading
-    dims.  ``mask`` is an additive array broadcastable to the (..., heads, Lq,
-    Lk) scores; ``-inf`` strikes a key from the softmax.  Returns the heads
-    merged back to (..., Lq, C).
+    dims.  Returns the heads merged back to (..., Lq, C).
     """
     *lead, length, channels = k.shape
     n = len(lead)
@@ -112,8 +112,6 @@ def dot_product_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     keys = ops.reshape(k, (*lead, length, heads, dh))
     keys = ops.permute(keys, (*range(n), n + 1, n + 2, n))          # (..., heads, dh, Lk)
     scores = ops.scale(ops.matmul(split_heads(q, heads), keys), 1.0 / math.sqrt(dh))
-    if mask is not None:
-        scores = ops.add(scores, Tensor(np.broadcast_to(mask, scores.shape)))
     attn = ops.softmax(scores)
     return merge_heads(ops.matmul(attn, split_heads(v, heads)))
 
@@ -187,20 +185,24 @@ class LocalSelfAttention(MultiHeadCore):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim < 3 or x.shape[-1] != self.channels:
             raise ShapeError(f"expected (..., H, W, {self.channels}), got {x.shape}")
-        *lead, height, width, channels = x.shape
+        *lead, height, width, _ = x.shape
         geom = WindowGeometry(height, width, self.kernel)
+        hw, n, k2 = height * width, self.heads, self.kernel * self.kernel
+        dh = self.channels // n
 
-        q = ops.linear(x, self.w_q, self.b_q)
-        k = ops.linear(x, self.w_k, self.b_k)
-        v = ops.linear(x, self.w_v, self.b_v)
-        # each token is a one-query list over its K² neighbors; padded
-        # neighbors are struck from the softmax entirely
-        neg = np.where(in_bounds_mask(geom), 0.0, -np.inf).astype(x.data.dtype)
-        out = dot_product_attention(ops.reshape(q, (*lead, height * width, 1, channels)),
-                                    unfold(k, geom), unfold(v, geom), self.heads,
-                                    mask=neg[:, None, None, :])   # (..., hw, 1, C)
-        out = ops.reshape(out, (*lead, height, width, channels))
-        return ops.linear(out, self.w_o, self.b_o)
+        # each token is one query over its K² neighbors, so its projection
+        # reshapes straight to head-major; the keys sit on the left of the
+        # product, (K², dh) @ (dh, 1), so no head is transposed
+        q = ops.reshape(ops.linear(x, self.w_q, self.b_q), (*lead, hw, n, dh, 1))
+        keys = unfold(ops.linear(x, self.w_k, self.b_k), geom, n)    # (..., hw, N, K², dh)
+        values = unfold(ops.linear(x, self.w_v, self.b_v), geom, n)
+        scores = ops.scale(ops.matmul(keys, q), 1.0 / math.sqrt(dh))
+        scores = ops.reshape(scores, (*lead, hw, n, 1, k2))
+        # padded neighbors are struck from the softmax entirely
+        neg = np.where(in_bounds_mask(geom), 0.0, -np.inf).astype(x.dtype)
+        scores = ops.add(scores, Tensor(np.broadcast_to(neg[:, None, None, :], scores.shape)))
+        out = ops.matmul(ops.softmax(scores), values)                # (..., hw, N, 1, dh)
+        return ops.linear(ops.reshape(out, x.shape), self.w_o, self.b_o)
 
     __call__ = forward
 
@@ -257,7 +259,7 @@ class Conv2d(Module):
             g2 = g.reshape(-1, cout)
             gx = None
             if needs_gx:
-                gx = fold_array((g @ wmat.T).reshape(*lead, geom.windows, k2, cin), geom)
+                gx = fold_array((g @ wmat.T).reshape(*lead, geom.windows, 1, k2, cin), geom)
             stack = unfold_array(xdata, geom).reshape(-1, k2 * cin)
             gw = (stack.T @ g2).reshape(weight_shape)
             return (gx, gw, g2.sum(axis=0))

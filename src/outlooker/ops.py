@@ -4,9 +4,9 @@ Every function takes and returns ``Tensor``s, computes the forward value with
 numpy, and registers a backward closure on the active tape (see ``tensor``).
 Shape checks are strict: elementwise ops require identical shapes, batched
 ``matmul`` requires identical leading dims.  Operands of ``matmul``,
-``linear``, ``add`` and ``mul`` must share one dtype; float32 is
-never silently promoted to float64.  Scalar constants are plain python
-floats so float32 data stays float32.
+``linear``, ``add``, ``mul``, ``concat`` and ``layer_norm`` must share one
+dtype; float32 is never silently promoted to float64.  Scalar constants are
+plain python floats so float32 data stays float32.
 
 Only ``matmul`` and ``linear`` feed the multiply-add counter: a matmul of
 (m, k) @ (k, n) adds exactly m*k*n (times the batch size), a linear adds
@@ -27,13 +27,7 @@ from .tensor import MADD_COUNTER, Tensor, from_op
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SHORT_ROW = 16     # longest softmax row whose max is taken column by column
-
-
-def _leading(shape: tuple[int, ...], keep: int) -> int:
-    n = 1
-    for d in shape[: len(shape) - keep]:
-        n *= int(d)
-    return n
+_LN_EPS = 1e-5      # added to the LayerNorm variance
 
 
 def _same_dtype(op: str, *tensors: Tensor) -> None:
@@ -56,7 +50,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
     m, k = int(a.shape[-2]), int(a.shape[-1])
     n = int(b.shape[-1])
-    MADD_COUNTER.add(_leading(a.shape, 2) * m * k * n)
+    MADD_COUNTER.add(math.prod(a.shape[:-2]) * m * k * n)
 
     def backward_fn(g):
         return (g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g)
@@ -81,7 +75,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     data = x.data @ w.data
     if b is not None:
         np.add(data, b.data, out=data)
-    MADD_COUNTER.add(_leading(x.shape, 1) * cin * cout)
+    MADD_COUNTER.add(math.prod(x.shape[:-1]) * cin * cout)
 
     def backward_fn(g):
         gx = g @ w.data.T
@@ -166,10 +160,17 @@ def permute(x: Tensor, axes) -> Tensor:
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    """Concatenate tensors along an existing axis."""
+    """Concatenate same-dtype tensors along an existing axis; other axes must agree."""
     tensors = list(tensors)
     if not tensors:
         raise ShapeError("concat of zero tensors")
+    _same_dtype("concat", *tensors)
+    ndim = tensors[0].ndim
+    if not 0 <= axis < ndim:
+        raise ShapeError(f"concat axis {axis} invalid for rank {ndim}")
+    off_axis = {t.shape[:axis] + t.shape[axis + 1 :] for t in tensors}
+    if len(off_axis) > 1 or any(t.ndim != ndim for t in tensors):
+        raise ShapeError(f"concat shapes differ off axis {axis}: {[t.shape for t in tensors]}")
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
@@ -242,24 +243,22 @@ def log_softmax(x: Tensor) -> Tensor:
     return from_op(out, (x,), backward_fn)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale+shift.
 
-    Variance uses the biased (1/C) estimator.  With eps > 0 a constant row
-    maps to beta exactly.
+    Variance uses the biased (1/C) estimator plus 1e-5, so a constant row maps
+    to beta exactly.
     """
-    eps = float(eps)
-    if eps < 0.0:
-        raise ContractError(f"layer_norm eps must be >= 0, got {eps}")
     c = x.shape[-1] if x.ndim else 0
     if x.ndim < 1 or gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(
             f"layer_norm shapes do not align: x {x.shape}, gamma {gamma.shape}, beta {beta.shape}"
         )
+    _same_dtype("layer_norm", x, gamma, beta)
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv
     out = xhat * gamma.data + beta.data
 

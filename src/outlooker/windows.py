@@ -9,20 +9,19 @@ slot ``u = dp·K + dq`` holds the token at (a·s + dp − p, b·s + dq − p), o
 zero when that index is out of bounds.  Leading axes before (H, W, C), such
 as a batch axis, carry through unchanged.
 
-Both kernels work through one strided view of the padded map, shaped
-(..., h, w, K, K, C) with no copy: ``unfold`` is one contiguous copy of that
-view, and ``fold`` scatter-adds each slot back through it.  ``fold`` is the
-exact linear adjoint of ``unfold``: ⟨unfold(x), y⟩ = ⟨x, fold(y)⟩, which is
-also how the two ops provide each other's backward.  Only odd kernels are
-supported: an even window has no center token.
+The stack is head-major, (..., windows, N, K², C/N), the layout multi-head
+attention multiplies: head ``n`` of a slot holds channels n·C/N to
+(n + 1)·C/N of its token.  ``heads`` defaults to 1, which gives one
+(K², C) block per window; a convolution reshapes it to a K²·C row.
 
-With ``heads=N`` the stack is head-major instead, (..., windows, N, K², C/N),
-the layout multi-head attention multiplies.  The view then splits the padded
-map's channels as (N, C/N) and puts the head axis before the window slots,
-(..., h, w, N, K, K, C/N), so the heads cost no copy of their own: ``unfold``
-is still one copy of the view, and ``fold`` adds the same slots in the same
-order.  Both give the bits of splitting the heads out of a plain stack, or
-merging them into one, around the default layout.
+Both kernels work through one strided view of the padded map, shaped
+(..., h, w, N, K, K, C/N) with no copy: the view splits the channels as
+(N, C/N) and puts the head axis before the window slots.  ``unfold`` is one
+contiguous copy of that view, and ``fold`` scatter-adds each slot back
+through it.  ``fold`` is the exact linear adjoint of ``unfold``:
+⟨unfold(x), y⟩ = ⟨x, fold(y)⟩, which is also how the two ops provide each
+other's backward.  Only odd kernels are supported: an even window has no
+center token.
 """
 
 from __future__ import annotations
@@ -98,38 +97,29 @@ def _windows(padded: np.ndarray, geom: WindowGeometry, heads: int) -> np.ndarray
     return as_strided(padded, shape, (*lead_strides, s * row, s * col, cn * chan, row, col, chan))
 
 
-def unfold_array(x: np.ndarray, geom: WindowGeometry, heads: int | None = None) -> np.ndarray:
-    """Forward kernel on a raw array: (..., H, W, C) → (..., windows, K², C).
-
-    With ``heads=N`` the result is head-major, (..., windows, N, K², C/N).
-    """
+def unfold_array(x: np.ndarray, geom: WindowGeometry, heads: int = 1) -> np.ndarray:
+    """Forward kernel on a raw array: (..., H, W, C) → (..., windows, N, K², C/N)."""
     k2, p = geom.kernel * geom.kernel, geom.padding
     *lead, height, width, channels = x.shape
     padded = np.zeros((*lead, height + 2 * p, width + 2 * p, channels), dtype=x.dtype)
     padded[..., p : p + height, p : p + width, :] = x
-    out = np.ascontiguousarray(_windows(padded, geom, heads or 1))
-    if heads is None:
-        return out.reshape(*lead, geom.windows, k2, channels)
+    out = np.ascontiguousarray(_windows(padded, geom, heads))
     return out.reshape(*lead, geom.windows, heads, k2, channels // heads)
 
 
-def fold_array(y: np.ndarray, geom: WindowGeometry, heads: int | None = None) -> np.ndarray:
-    """Adjoint kernel on a raw array: (..., windows, K², C) → (..., H, W, C) by scatter-add.
-
-    With ``heads=N`` the stack is head-major, (..., windows, N, K², C/N).
-    """
+def fold_array(y: np.ndarray, geom: WindowGeometry, heads: int = 1) -> np.ndarray:
+    """Adjoint kernel on a raw array: (..., windows, N, K², C/N) → (..., H, W, C)."""
     k, p = geom.kernel, geom.padding
-    n, cn = heads or 1, y.shape[-1]
-    lead = y.shape[: y.ndim - (3 if heads is None else 4)]
-    grid = y.reshape(*lead, geom.out_height, geom.out_width, n, k, k, cn)
-    padded = np.zeros((*lead, geom.height + 2 * p, geom.width + 2 * p, n * cn), dtype=y.dtype)
-    view = _windows(padded, geom, n)
+    *lead, _, _, _, cn = y.shape
+    grid = y.reshape(*lead, geom.out_height, geom.out_width, heads, k, k, cn)
+    padded = np.zeros((*lead, geom.height + 2 * p, geom.width + 2 * p, heads * cn), dtype=y.dtype)
+    view = _windows(padded, geom, heads)
     for dp, dq in np.ndindex(k, k):     # one slot at a time: its windows never overlap
         view[..., dp, dq, :] += grid[..., dp, dq, :]
     return np.ascontiguousarray(padded[..., p : p + geom.height, p : p + geom.width, :])
 
 
-def _check_map(x: Tensor, geom: WindowGeometry, heads: int | None) -> None:
+def _check_map(x: Tensor, geom: WindowGeometry, heads: int) -> None:
     if x.ndim < 3:
         raise ShapeError(f"expected a (..., H, W, C) token map, got {x.shape}")
     if x.shape[-3:-1] != (geom.height, geom.width):
@@ -137,15 +127,11 @@ def _check_map(x: Tensor, geom: WindowGeometry, heads: int | None) -> None:
             f"map extent {x.shape[-3]}x{x.shape[-2]} does not match geometry "
             f"{geom.height}x{geom.width}"
         )
-    if heads is not None:
-        check_heads(x.shape[-1], heads)
+    check_heads(x.shape[-1], heads)
 
 
-def unfold(x: Tensor, geom: WindowGeometry, heads: int | None = None) -> Tensor:
-    """Extract every window as a stack row: (..., H, W, C) → (..., windows, K², C).
-
-    With ``heads=N`` the stack is head-major: (..., windows, N, K², C/N).
-    """
+def unfold(x: Tensor, geom: WindowGeometry, heads: int = 1) -> Tensor:
+    """Extract every window as a stack row: (..., H, W, C) → (..., windows, N, K², C/N)."""
     _check_map(x, geom, heads)
     data = unfold_array(x.data, geom, heads)
 
@@ -155,16 +141,12 @@ def unfold(x: Tensor, geom: WindowGeometry, heads: int | None = None) -> Tensor:
     return from_op(data, (x,), backward_fn)
 
 
-def fold(y: Tensor, geom: WindowGeometry, heads: int | None = None) -> Tensor:
-    """Scatter-add stack rows back onto the map: (..., windows, K², C) → (..., H, W, C).
-
-    With ``heads=N`` the stack is head-major: (..., windows, N, K², C/N).
-    """
-    k2 = geom.kernel * geom.kernel
-    want = (geom.windows, k2) if heads is None else (geom.windows, heads, k2)
-    if y.ndim < len(want) + 1 or y.shape[-len(want) - 1 : -1] != want:
-        layout = ", ".join(str(d) for d in want)
-        raise ShapeError(f"expected a (..., {layout}, C) window stack, got {y.shape}")
+def fold(y: Tensor, geom: WindowGeometry, heads: int = 1) -> Tensor:
+    """Scatter-add stack rows back onto the map: (..., windows, N, K², C/N) → (..., H, W, C)."""
+    want = (geom.windows, heads, geom.kernel * geom.kernel)
+    if y.ndim < 4 or y.shape[-4:-1] != want:
+        raise ShapeError(f"expected a (..., {', '.join(map(str, want))}, C) window stack, "
+                         f"got {y.shape}")
     data = fold_array(y.data, geom, heads)
 
     def backward_fn(g):
@@ -176,4 +158,4 @@ def fold(y: Tensor, geom: WindowGeometry, heads: int | None = None) -> Tensor:
 def in_bounds_mask(geom: WindowGeometry) -> np.ndarray:
     """Boolean (windows, K²) marking slots that map to real (unpadded) tokens."""
     ones = np.ones((geom.height, geom.width, 1), dtype=np.float64)
-    return unfold_array(ones, geom)[:, :, 0] > 0.0
+    return unfold_array(ones, geom)[:, 0, :, 0] > 0.0

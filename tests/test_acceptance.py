@@ -159,7 +159,7 @@ def test_c06_window_adjointness(acceptance):
     worst = 0.0
     for geom in geoms:
         x = rng.standard_normal((geom.height, geom.width, 4))
-        y = rng.standard_normal((geom.windows, geom.kernel ** 2, 4))
+        y = rng.standard_normal((geom.windows, 1, geom.kernel ** 2, 4))
         lhs = float(np.sum(unfold_array(x, geom) * y))
         rhs = float(np.sum(x * fold_array(y, geom)))
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))

@@ -113,7 +113,8 @@ class TestOutlookHeadMajor:
     @pytest.mark.parametrize("stride, want_nodes", [(1, 10), (2, 11)])
     def test_bit_equal_to_split_merge_composition(self, rng, stride, want_nodes):
         # the layer unfolds values head-major and folds back from that layout;
-        # the reference splits the heads out of a plain stack and merges them back
+        # the reference splits the heads out of a one-head stack, reshaped to
+        # (windows, K², C), and merges them back
         layer = OutlookAttention(np.random.default_rng(3), 12, 3, 3, stride=stride)
         layer.b_a.data[...] = rng.standard_normal(layer.b_a.shape)
         x = Tensor(rng.standard_normal((2, 9, 10, 12)), dtype=np.float32, requires_grad=True)
@@ -121,10 +122,11 @@ class TestOutlookHeadMajor:
         geom = WindowGeometry(9, 10, 3, stride)
 
         def composed(t):
-            stack = split_heads(unfold(ops.linear(t, layer.w_v), geom), 3)
+            plain = ops.reshape(unfold(ops.linear(t, layer.w_v), geom), (2, geom.windows, 9, 12))
+            stack = split_heads(plain, 3)
             logits = ops.linear(ops.avg_pool(t, stride), layer.w_a, layer.b_a)
             attn = ops.softmax(ops.reshape(logits, (2, geom.windows, 3, 9, 9)))
-            mixed = merge_heads(ops.matmul(attn, stack))
+            mixed = ops.reshape(merge_heads(ops.matmul(attn, stack)), (2, geom.windows, 1, 9, 12))
             return ops.linear(fold(mixed, geom), layer.w_o, layer.b_o)
 
         def run(forward):
@@ -137,7 +139,7 @@ class TestOutlookHeadMajor:
 
         out, grads, nodes = run(layer.forward)
         want_out, want_grads, want_nodes_composed = run(composed)
-        assert (nodes, want_nodes_composed) == (want_nodes, want_nodes + 4)
+        assert (nodes, want_nodes_composed) == (want_nodes, want_nodes + 6)
         np.testing.assert_array_equal(out, want_out)
         for got, want in zip(grads, want_grads):
             assert got.dtype == np.float32
@@ -228,6 +230,40 @@ class TestLocalAttentionMask:
         x = Tensor(np.tile(rng.standard_normal(4), (5, 5, 1)), dtype=np.float64)
         out = layer.forward(x).data
         np.testing.assert_allclose(out[0, 0], out[2, 2], atol=1e-12)
+
+
+class TestLocalSelfAttentionHeadMajor:
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_fourteen_nodes_and_no_permute(self, rng, lead, monkeypatch):
+        # 4 projections, the query reshape, 2 unfolds, the score matmul,
+        # scale, reshape and mask add, softmax, the value matmul and reshape
+        def no_permute(*args):
+            raise AssertionError("local self-attention permuted a head")
+
+        monkeypatch.setattr(ops, "permute", no_permute)
+        layer = LocalSelfAttention(np.random.default_rng(3), 12, 3, 3)
+        x = Tensor(rng.standard_normal((*lead, 5, 6, 12)), dtype=np.float32, requires_grad=True)
+        with Tape() as tape:
+            out = layer.forward(x)
+            assert len(tape) == 14
+            grads = backward(ops.sum_all(out), tape)
+        assert out.shape == x.shape
+        assert all(grads[p].dtype == np.float32 for p in (x, *layer.parameters()))
+
+    def test_float32_matches_float64_oracle(self, rng):
+        # the oracle casts the float32 parameters to float64 and loops over
+        # every token, head and in-bounds neighbor
+        from outlooker import oracle_local_self_attention
+
+        layer = LocalSelfAttention(np.random.default_rng(4), 12, 3, 3)
+        for p in layer.parameters():
+            p.data[...] = 0.3 * rng.standard_normal(p.shape)
+        x = rng.standard_normal((2, 6, 7, 12)).astype(np.float32)
+        got = layer.forward(Tensor(x)).data
+        want = np.stack([oracle_local_self_attention(m, layer) for m in x])
+        assert got.dtype == np.float32
+        bar = 16 * np.finfo(np.float32).eps * np.abs(want).max()
+        assert np.abs(got - want).max() <= bar
 
 
 class TestCostModel:

@@ -72,9 +72,16 @@ class TestDtypeContract:
     def test_elementwise_ops_reject_mixed_dtypes(self, rng):
         a = Tensor(rng.standard_normal((2, 3)).astype(np.float32))
         b = Tensor(rng.standard_normal((2, 3)), dtype=np.float64)
-        for op in (ops.add, ops.mul):
+        for op in (ops.add, ops.mul, lambda a, b: ops.concat([a, b])):
             with pytest.raises(ContractError):
                 op(a, b)
+
+    def test_layer_norm_rejects_mixed_dtypes(self, rng):
+        x = Tensor(rng.standard_normal((2, 3)), dtype=np.float64)
+        gamma = Tensor(np.ones(3, dtype=np.float32))
+        beta = Tensor(np.zeros(3, dtype=np.float32))
+        with pytest.raises(ContractError):
+            ops.layer_norm(x, gamma, beta)
 
 
 class TestScaleExpand:
@@ -149,10 +156,11 @@ class TestSoftmax:
 
 class TestLayerNorm:
     def test_frozen_pair_normalizes_to_unit(self):
+        # the pair has unit variance, so only the 1e-5 added to it scales the result
         x = Tensor(np.array([[1.0, 3.0]]), dtype=np.float64)
         got = ops.layer_norm(x, Tensor(np.ones(2), dtype=np.float64),
-                             Tensor(np.zeros(2), dtype=np.float64), eps=0.0)
-        np.testing.assert_allclose(got.data, [[-1.0, 1.0]], atol=1e-12)
+                             Tensor(np.zeros(2), dtype=np.float64))
+        np.testing.assert_allclose(got.data, [[-1.0, 1.0]] / np.sqrt(1.0 + 1e-5), atol=1e-12)
 
     def test_gamma_beta_affine(self, rng):
         x = rng.standard_normal((5, 8))
@@ -160,14 +168,9 @@ class TestLayerNorm:
         beta = rng.standard_normal(8)
         got = ops.layer_norm(Tensor(x, dtype=np.float64),
                              Tensor(gamma, dtype=np.float64),
-                             Tensor(beta, dtype=np.float64), eps=0.0).data
-        xhat = (x - x.mean(-1, keepdims=True)) / x.std(-1, keepdims=True)
+                             Tensor(beta, dtype=np.float64)).data
+        xhat = (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + 1e-5)
         np.testing.assert_allclose(got, xhat * gamma + beta, rtol=1e-10, atol=1e-12)
-
-    def test_negative_eps_rejected(self):
-        x = Tensor(np.ones((2, 3)))
-        with pytest.raises(ContractError):
-            ops.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), eps=-1e-5)
 
 
 class TestShapeOps:
@@ -182,6 +185,16 @@ class TestShapeOps:
         b = rng.standard_normal((3, 4))
         cat = ops.concat([Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64)], axis=0)
         np.testing.assert_allclose(ops.narrow(cat, 0, 2, 3).data, b)
+
+    def test_concat_rejects_misaligned_shapes_and_axes(self):
+        a = Tensor(np.zeros((2, 4)))
+        for others, axis in [([Tensor(np.zeros((3, 5)))], 0),     # off-axis sizes differ
+                             ([Tensor(np.zeros((3,)))], 0),       # ranks differ
+                             ([Tensor(np.zeros((2, 4, 1)))], 1),
+                             ([Tensor(np.zeros((2, 4)))], 2),     # axis out of range
+                             ([Tensor(np.zeros((2, 4)))], -1)]:
+            with pytest.raises(ShapeError):
+                ops.concat([a, *others], axis=axis)
 
     def test_reshape_size_mismatch(self):
         with pytest.raises(ValueError):

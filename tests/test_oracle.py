@@ -43,16 +43,16 @@ class TestWindowOracles:
         geom = WindowGeometry(height, width, kernel, stride)
         x = rng.standard_normal((height, width, 3))
         np.testing.assert_allclose(
-            oracle_unfold(x, kernel, stride), unfold_array(x, geom)
+            oracle_unfold(x, kernel, stride)[:, None], unfold_array(x, geom)
         )
 
     @pytest.mark.parametrize("kernel,stride", [(1, 1), (3, 1), (3, 2), (5, 2)])
     def test_fold_matches_vectorized(self, kernel, stride, rng):
         height, width = 7, 6
         geom = WindowGeometry(height, width, kernel, stride)
-        y = rng.standard_normal((geom.windows, kernel * kernel, 3))
+        y = rng.standard_normal((geom.windows, 1, kernel * kernel, 3))
         np.testing.assert_allclose(
-            oracle_fold(y, height, width, kernel, stride),
+            oracle_fold(y[:, 0], height, width, kernel, stride),
             fold_array(y, geom),
         )
 

@@ -13,6 +13,8 @@ from outlooker import (
     fold,
     fold_array,
     in_bounds_mask,
+    oracle_fold,
+    oracle_unfold,
     ops,
     unfold,
     unfold_array,
@@ -74,7 +76,7 @@ class TestWindowGeometry:
         k, s, p = geom.kernel, geom.stride, geom.padding
         x = np.arange(1.0, 25.0).reshape(4, 6, 1)
         padded = np.pad(x[:, :, 0], p)
-        windows = unfold_array(x, geom)[:, :, 0].reshape(geom.out_height, geom.out_width, k * k)
+        windows = unfold_array(x, geom)[:, 0, :, 0].reshape(geom.out_height, geom.out_width, k * k)
         assert windows.shape[-1] == geom.kernel**2
         for i in range(geom.out_height):
             for j in range(geom.out_width):
@@ -88,8 +90,8 @@ class TestUnfoldFoldValues:
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)
         geom = WindowGeometry(2, 2, 3)
         windows = unfold_array(x, geom)
-        assert windows.shape == (4, 9, 1)
-        np.testing.assert_allclose(windows[0, :, 0], [0, 0, 0, 0, 1, 2, 0, 3, 4])
+        assert windows.shape == (4, 1, 9, 1)
+        np.testing.assert_allclose(windows[0, 0, :, 0], [0, 0, 0, 0, 1, 2, 0, 3, 4])
 
     def test_fold_of_unfolded_ones_counts_overlaps(self):
         geom = WindowGeometry(3, 3, 3)
@@ -121,7 +123,7 @@ class TestUnfoldFoldValues:
         x = np.arange(16.0).reshape(4, 4, 1)
         geom = WindowGeometry(4, 4, 1, stride=2)
         windows = unfold_array(x, geom)
-        np.testing.assert_allclose(windows[:, 0, 0], [0.0, 2.0, 8.0, 10.0])
+        np.testing.assert_allclose(windows[:, 0, 0, 0], [0.0, 2.0, 8.0, 10.0])
 
     def test_in_bounds_mask_corner(self):
         geom = WindowGeometry(2, 2, 3)
@@ -137,7 +139,7 @@ class TestAdjointness:
         rng = np.random.default_rng(42)
         for geom in random_geometries():
             x = rng.standard_normal((geom.height, geom.width, 3))
-            y = rng.standard_normal((geom.windows, geom.kernel**2, 3))
+            y = rng.standard_normal((geom.windows, 1, geom.kernel**2, 3))
             lhs = float(np.sum(unfold_array(x, geom) * y))
             rhs = float(np.sum(x * fold_array(y, geom)))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
@@ -146,7 +148,7 @@ class TestAdjointness:
         rng = np.random.default_rng(3)
         geom = WindowGeometry(5, 4, 3, stride=2)
         x = Tensor(rng.standard_normal((5, 4, 2)), dtype=np.float64, requires_grad=True)
-        probe = rng.standard_normal((geom.windows, 9, 2))
+        probe = rng.standard_normal((geom.windows, 1, 9, 2))
         with Tape() as tape:
             y = unfold(x, geom)
             loss = ops.mul(y, Tensor(probe, dtype=np.float64))
@@ -156,7 +158,7 @@ class TestAdjointness:
     def test_fold_backward_is_unfold(self):
         rng = np.random.default_rng(4)
         geom = WindowGeometry(5, 4, 3, stride=2)
-        y = Tensor(rng.standard_normal((geom.windows, 9, 2)), dtype=np.float64,
+        y = Tensor(rng.standard_normal((geom.windows, 1, 9, 2)), dtype=np.float64,
                    requires_grad=True)
         probe = rng.standard_normal((5, 4, 2))
         with Tape() as tape:
@@ -174,7 +176,7 @@ class TestShapeChecks:
     def test_fold_wrong_window_count(self):
         geom = WindowGeometry(4, 4, 3)
         with pytest.raises(ShapeError):
-            fold(Tensor(np.zeros((15, 9, 2))), geom)
+            fold(Tensor(np.zeros((15, 1, 9, 2))), geom)
 
 
 def _split(stack, heads):
@@ -190,6 +192,22 @@ def _merge(stack):
     return np.ascontiguousarray(np.moveaxis(stack, -3, -2)).reshape(*lead, windows, k2, heads * dh)
 
 
+def _oracle_unfold(x, geom):
+    """``oracle_unfold`` over any leading axes: (..., H, W, C) → (..., windows, K², C)."""
+    *lead, height, width, channels = x.shape
+    maps = x.reshape(-1, height, width, channels)
+    stacks = [oracle_unfold(m, geom.kernel, geom.stride) for m in maps]
+    return np.stack(stacks).reshape(*lead, geom.windows, geom.kernel**2, channels)
+
+
+def _oracle_fold(y, geom):
+    """``oracle_fold`` over any leading axes: (..., windows, K², C) → (..., H, W, C)."""
+    *lead, windows, k2, channels = y.shape
+    stacks = y.reshape(-1, windows, k2, channels)
+    maps = [oracle_fold(t, geom.height, geom.width, geom.kernel, geom.stride) for t in stacks]
+    return np.stack(maps).reshape(*lead, geom.height, geom.width, channels)
+
+
 def head_major_cases():
     # C = 6 splits into 1, 2, 3 or 6 heads
     return itertools.product(random_geometries(), [(), (2,)], [1, 2, 3, 6])
@@ -197,21 +215,28 @@ def head_major_cases():
 
 class TestHeadMajor:
     def test_unfold_equals_split_of_plain_stack(self):
+        # the plain (windows, K², C) stack is the loop oracle's
         rng = np.random.default_rng(11)
         for geom, lead, heads in head_major_cases():
             x = rng.standard_normal((*lead, geom.height, geom.width, 6)).astype(np.float32)
             got = unfold_array(x, geom, heads)
             assert got.shape == (*lead, geom.windows, heads, geom.kernel**2, 6 // heads)
-            np.testing.assert_array_equal(got, _split(unfold_array(x, geom), heads))
+            np.testing.assert_array_equal(got, _split(_oracle_unfold(x, geom), heads))
 
     def test_fold_equals_fold_of_merged_stack(self):
+        # the oracle adds a token's slots in another order, so it agrees to
+        # rounding; the one-head kernel adds them in the same order, to the bit
         rng = np.random.default_rng(12)
         for geom, lead, heads in head_major_cases():
             shape = (*lead, geom.windows, heads, geom.kernel**2, 6 // heads)
-            y = rng.standard_normal(shape).astype(np.float32)
+            y = rng.standard_normal(shape)
             got = fold_array(y, geom, heads)
+            np.testing.assert_allclose(got, _oracle_fold(_merge(y), geom), rtol=1e-12, atol=1e-12)
+            y32 = y.astype(np.float32)
+            got = fold_array(y32, geom, heads)
             assert got.dtype == np.float32
-            np.testing.assert_array_equal(got, fold_array(_merge(y), geom))
+            one_head = _merge(y32)[..., None, :, :]
+            np.testing.assert_array_equal(got, fold_array(one_head, geom))
 
     def test_inner_products_agree(self):
         rng = np.random.default_rng(13)
