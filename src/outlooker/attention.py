@@ -12,15 +12,15 @@ the same code with no leading axes.
 * ``SelfAttention``: full scaled dot-product attention over a flat list.
 * ``Conv2d``: K×K cross-correlation, one GEMM over the unfolded windows.
 
-The two dot-product layers share ``MultiHeadCore``'s q/k/v/o projections.
-``SelfAttention`` and the class-attention block attend over flat token lists
-with ``dot_product_attention``, which lays heads out as (..., heads, L,
-C/heads) via ``split_heads``/``merge_heads``.  The window layers make no head
-copies: they unfold straight into the head-major (..., windows, heads, K²,
-C/heads) stack of ``windows``.  ``OutlookAttention`` mixes its value stack
-and folds it back from that layout; ``LocalSelfAttention`` multiplies its key
-stack by each token's one query, (K², dh) @ (dh, 1), and its value stack by
-the masked softmax of those scores.
+``SelfAttention``, ``LocalSelfAttention`` and the class-attention block are
+one ``MultiHeadCore``: ``attend`` projects q from the query tokens and k, v
+from the attended ones, and ``mix`` attends over flat lists, heads laid out
+as (..., heads, L, C/heads) via ``split_heads``/``merge_heads``.  The window
+layers make no head copies: they unfold straight into the head-major (...,
+windows, heads, K², C/heads) stack of ``windows``.  ``OutlookAttention``
+mixes its value stack and folds it back from that layout; the local ``mix``
+multiplies its key stack by each token's one query, (K², dh) @ (dh, 1), and
+its value stack by the masked softmax of those scores.
 
 ``madds`` gives the closed-form cost of each layer kind at stride 1;
 ``measured_madds`` runs the instrumented counter, which matches it exactly.
@@ -100,24 +100,8 @@ def merge_heads(t: Tensor) -> Tensor:
     return ops.reshape(t, (*lead, length, heads * dh))
 
 
-def dot_product_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Multi-head softmax(q·kᵀ/√dh)·v on projected token lists.
-
-    ``q``: (..., Lq, C); ``k``, ``v``: (..., Lk, C) with the same leading
-    dims.  Returns the heads merged back to (..., Lq, C).
-    """
-    *lead, length, channels = k.shape
-    n = len(lead)
-    dh = channels // heads
-    keys = ops.reshape(k, (*lead, length, heads, dh))
-    keys = ops.permute(keys, (*range(n), n + 1, n + 2, n))          # (..., heads, dh, Lk)
-    scores = ops.scale(ops.matmul(split_heads(q, heads), keys), 1.0 / math.sqrt(dh))
-    attn = ops.softmax(scores)
-    return merge_heads(ops.matmul(attn, split_heads(v, heads)))
-
-
 class MultiHeadCore(Module):
-    """The q/k/v/o projections (C×C, with bias) of the dot-product attention layers."""
+    """q/k/v/o projections (C×C, with bias); ``attend`` wraps them around ``mix``."""
 
     def __init__(self, rng, channels: int, heads: int, dtype=np.float32):
         check_heads(channels, heads)
@@ -126,6 +110,23 @@ class MultiHeadCore(Module):
         for name in ("q", "k", "v", "o"):
             setattr(self, f"w_{name}", _param(rng, (channels, channels), dtype))
             setattr(self, f"b_{name}", _zeros(channels, dtype))
+
+    def attend(self, queries: Tensor, tokens: Tensor) -> Tensor:
+        q = ops.linear(queries, self.w_q, self.b_q)
+        k = ops.linear(tokens, self.w_k, self.b_k)
+        v = ops.linear(tokens, self.w_v, self.b_v)
+        return ops.linear(self.mix(q, k, v), self.w_o, self.b_o)
+
+    def mix(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+        """Multi-head softmax(q·kᵀ/√dh)·v; q: (..., Lq, C), k and v: (..., Lk, C)."""
+        *lead, length, channels = k.shape
+        n = len(lead)
+        dh = channels // self.heads
+        keys = ops.reshape(k, (*lead, length, self.heads, dh))
+        keys = ops.permute(keys, (*range(n), n + 1, n + 2, n))          # (..., heads, dh, Lk)
+        scores = ops.scale(ops.matmul(split_heads(q, self.heads), keys), 1.0 / math.sqrt(dh))
+        attn = ops.softmax(scores)
+        return merge_heads(ops.matmul(attn, split_heads(v, self.heads)))
 
 
 class OutlookAttention(Module):
@@ -185,26 +186,28 @@ class LocalSelfAttention(MultiHeadCore):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim < 3 or x.shape[-1] != self.channels:
             raise ShapeError(f"expected (..., H, W, {self.channels}), got {x.shape}")
-        *lead, height, width, _ = x.shape
+        return self.attend(x, x)
+
+    __call__ = forward
+
+    def mix(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+        *lead, height, width, channels = q.shape
         geom = WindowGeometry(height, width, self.kernel)
         hw, n, k2 = height * width, self.heads, self.kernel * self.kernel
-        dh = self.channels // n
-
+        dh = channels // n
         # each token is one query over its K² neighbors, so its projection
         # reshapes straight to head-major; the keys sit on the left of the
         # product, (K², dh) @ (dh, 1), so no head is transposed
-        q = ops.reshape(ops.linear(x, self.w_q, self.b_q), (*lead, hw, n, dh, 1))
-        keys = unfold(ops.linear(x, self.w_k, self.b_k), geom, n)    # (..., hw, N, K², dh)
-        values = unfold(ops.linear(x, self.w_v, self.b_v), geom, n)
+        q = ops.reshape(q, (*lead, hw, n, dh, 1))
+        keys = unfold(k, geom, n)                                    # (..., hw, N, K², dh)
+        values = unfold(v, geom, n)
         scores = ops.scale(ops.matmul(keys, q), 1.0 / math.sqrt(dh))
         scores = ops.reshape(scores, (*lead, hw, n, 1, k2))
         # padded neighbors are struck from the softmax entirely
-        neg = np.where(in_bounds_mask(geom), 0.0, -np.inf).astype(x.dtype)
+        neg = np.where(in_bounds_mask(geom), 0.0, -np.inf).astype(q.dtype)
         scores = ops.add(scores, Tensor(np.broadcast_to(neg[:, None, None, :], scores.shape)))
         out = ops.matmul(ops.softmax(scores), values)                # (..., hw, N, 1, dh)
-        return ops.linear(ops.reshape(out, x.shape), self.w_o, self.b_o)
-
-    __call__ = forward
+        return ops.reshape(out, v.shape)
 
 
 class SelfAttention(MultiHeadCore):
@@ -213,11 +216,7 @@ class SelfAttention(MultiHeadCore):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim < 2 or x.shape[-1] != self.channels:
             raise ShapeError(f"expected (..., L, {self.channels}), got {x.shape}")
-        q = ops.linear(x, self.w_q, self.b_q)
-        k = ops.linear(x, self.w_k, self.b_k)
-        v = ops.linear(x, self.w_v, self.b_v)
-        out = dot_product_attention(q, k, v, self.heads)
-        return ops.linear(out, self.w_o, self.b_o)
+        return self.attend(x, x)
 
     __call__ = forward
 
@@ -303,6 +302,11 @@ def _oa_madds(tokens: int, windows: int, c: int, heads: int, k: int) -> int:
     return 2 * tokens * c * c + windows * c * heads * k4 + windows * k4 * c
 
 
+def _attention_madds(queries: int, tokens: int, span: int, c: int) -> int:
+    """``attend``: q, o over ``queries``, k, v over ``tokens``, two GEMMs over ``span``."""
+    return 2 * queries * c * c + 2 * tokens * c * c + 2 * queries * span * c
+
+
 def madds(query: CostQuery, kind: str) -> int:
     """Closed-form multiply-add count of one stride-1 layer forward pass.
 
@@ -320,9 +324,9 @@ def madds(query: CostQuery, kind: str) -> int:
     c = query.channels
     k2 = query.kernel * query.kernel
     if kind == "sa":
-        return 4 * hw * c * c + 2 * hw * hw * c
+        return _attention_madds(hw, hw, hw, c)
     if kind == "lsa":
-        return 4 * hw * c * c + 2 * hw * k2 * c
+        return _attention_madds(hw, hw, k2, c)
     if kind == "oa":
         return _oa_madds(hw, hw, c, query.heads, query.kernel)
     if kind == "conv":

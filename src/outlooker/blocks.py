@@ -13,7 +13,7 @@ import numpy as np
 
 from . import ops
 from .attention import (Conv2d, LocalSelfAttention, Module, MultiHeadCore, OutlookAttention,
-                        SelfAttention, _param, _zeros, dot_product_attention)
+                        SelfAttention, _param, _zeros)
 from .errors import ContractError, ShapeError
 from .tensor import Tensor
 
@@ -160,11 +160,7 @@ class ClassAttentionBlock(MultiHeadCore):
                              f"{cls_token.shape[:-2]}, got {patches.shape}")
         axis = cls_token.ndim - 2
         u = self.norm1(ops.concat([cls_token, patches], axis=axis))     # (..., L+1, C)
-        q = ops.linear(ops.narrow(u, axis, 0, 1), self.w_q, self.b_q)    # (..., 1, C)
-        k = ops.linear(u, self.w_k, self.b_k)
-        v = ops.linear(u, self.w_v, self.b_v)
-        out = dot_product_attention(q, k, v, self.heads)                # (..., 1, C)
-        cls = ops.add(cls_token, ops.linear(out, self.w_o, self.b_o))
+        cls = ops.add(cls_token, self.attend(ops.narrow(u, axis, 0, 1), u))
         return ops.add(cls, self.mlp(self.norm2(cls)))
 
     __call__ = forward
@@ -172,8 +168,4 @@ class ClassAttentionBlock(MultiHeadCore):
 
 def drop_path_schedule(max_rate: float, depth: int) -> list[float]:
     """Linear ramp 0 → max_rate across a stack of ``depth`` blocks."""
-    if depth < 1:
-        return []
-    if depth == 1:
-        return [0.0]
-    return [max_rate * i / (depth - 1) for i in range(depth)]
+    return [max_rate * i / max(depth - 1, 1) for i in range(depth)]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import ops
-from .attention import Conv2d, CostQuery, Module, _oa_madds, _param, _zeros, madds
+from .attention import Conv2d, CostQuery, Module, _attention_madds, _oa_madds, _param, _zeros, madds
 from .blocks import (
     ClassAttentionBlock,
     ConvBlock,
@@ -339,8 +339,8 @@ def analytic_madds(config: ModelConfig, resolution: int | None = None) -> int:
     mixers, MLPs, downsample, transformer attention, class-attention blocks,
     and head.  The mixers and transformer attention are the per-layer closed
     forms of ``attention.madds`` (outlook attention at its stride-adjusted
-    window count).  Softmax/norm work is excluded, exactly as in the
-    instrumented counter.
+    window count); class attention is the same attention form with one query.
+    Softmax/norm work is excluded, exactly as in the instrumented counter.
     """
     size = config.image_size if resolution is None else int(resolution)
     g1, g2 = _grids(size)
@@ -357,16 +357,16 @@ def analytic_madds(config: ModelConfig, resolution: int | None = None) -> int:
         mixer = _oa_madds(hw1, wins, c1, config.outlooker_heads, k)
     else:
         mixer = madds(CostQuery(g1, g1, c1, k, config.outlooker_heads), config.stage1_kind)
-    h1 = mlp_hidden(c1, config.outlooker_mlp_ratio)
-    stage1 = config.num_outlookers * (mixer + 2 * hw1 * c1 * h1)
+    mlp1 = 2 * c1 * mlp_hidden(c1, config.outlooker_mlp_ratio)     # per token
+    stage1 = config.num_outlookers * (mixer + hw1 * mlp1)
 
     down = length * (DOWNSAMPLE ** 2 * c1) * c2
 
-    h2 = mlp_hidden(c2, config.transformer_mlp_ratio)
+    mlp2 = 2 * c2 * mlp_hidden(c2, config.transformer_mlp_ratio)
     sa = madds(CostQuery(length, 1, c2), "sa")
-    stage2 = config.num_transformers * (sa + 2 * length * c2 * h2)
+    stage2 = config.num_transformers * (sa + length * mlp2)
 
-    ca = (2 + 2 * (length + 1)) * c2 * c2 + 2 * c2 * (length + 1) + 2 * c2 * h2
-    class_stage = config.num_class_blocks * ca
+    ca = _attention_madds(1, length + 1, length + 1, c2)
+    class_stage = config.num_class_blocks * (ca + mlp2)
 
     return stem + stage1 + down + stage2 + class_stage + c2 * config.num_classes

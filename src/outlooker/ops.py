@@ -136,7 +136,10 @@ def expand(x: Tensor, batch: int) -> Tensor:
 
 def reshape(x: Tensor, shape) -> Tensor:
     """Row-major reindex to a new shape with the same number of elements."""
-    data = x.data.reshape(shape)
+    try:
+        data = x.data.reshape(shape)
+    except ValueError as err:
+        raise ShapeError(f"cannot reshape {x.shape} to {shape}") from err
     in_shape = x.shape
 
     def backward_fn(g):

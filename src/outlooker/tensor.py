@@ -54,7 +54,7 @@ class Tensor:
             raise ContractError(
                 f"unsupported element type {arr.dtype}; use float32 or float64"
             )
-        self.data = np.ascontiguousarray(arr)
+        self.data = np.require(arr, requirements="C")   # keeps rank 0, unlike ascontiguousarray
         self.requires_grad = bool(requires_grad)
         self._key: int | None = None   # the producing node's key while taped
 

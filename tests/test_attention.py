@@ -220,6 +220,15 @@ class TestHeadLayout:
             np.testing.assert_array_equal(heads.data[:, n], x.data[..., 2 * n:2 * n + 2])
         np.testing.assert_array_equal(merge_heads(heads).data, x.data)
 
+    def test_self_attention_records_sixteen_nodes(self, rng):
+        # 4 projections, the key reshape and permute, split q and v (2 each),
+        # the score matmul, scale, softmax, the value matmul and the merge (2)
+        layer = SelfAttention(np.random.default_rng(3), 12, 3)
+        x = Tensor(rng.standard_normal((2, 7, 12)), dtype=np.float32, requires_grad=True)
+        with Tape() as tape:
+            layer.forward(x)
+            assert len(tape) == 16
+
 
 class TestLocalAttentionMask:
     def test_corner_token_ignores_padding(self):

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from outlooker import (
+    MADD_COUNTER,
     ClassAttentionBlock,
     ConvBlock,
     LayerNorm,
     LocalAttentionBlock,
     Mlp,
     OutlookerBlock,
+    Tape,
     Tensor,
     TransformerBlock,
     drop_path_schedule,
@@ -17,6 +19,7 @@ from outlooker import (
     ops,
     stochastic_depth_mask,
 )
+from outlooker.attention import _attention_madds
 from outlooker.errors import ContractError, ShapeError
 from outlooker.oracle import oracle_self_attention, relative_error
 
@@ -58,6 +61,7 @@ class TestStochasticDepth:
         np.testing.assert_allclose(sched, [0.0, 0.1, 0.2, 0.3])
         assert drop_path_schedule(0.5, 1) == [0.0]
         assert drop_path_schedule(0.0, 3) == [0.0, 0.0, 0.0]
+        assert drop_path_schedule(0.5, 0) == []
 
 
 class TestLayerNormModule:
@@ -150,3 +154,26 @@ class TestClassAttention:
         with pytest.raises(ShapeError):
             block.forward(Tensor(rng.standard_normal((2, 8)).astype(np.float32)),
                           Tensor(rng.standard_normal((9, 8)).astype(np.float32)))
+
+    def test_cost_is_one_query_attention_plus_one_mlp_row(self, rng):
+        # per sample: q and o over the class token, k and v over all L+1
+        # tokens, two (L+1)-wide GEMMs for the one query, and one MLP row
+        batch, length, c = 2, 7, 12
+        block = ClassAttentionBlock(np.random.default_rng(0), c, 3, 3.0)
+        cls_token = Tensor(rng.standard_normal((batch, 1, c)), dtype=np.float32)
+        patches = Tensor(rng.standard_normal((batch, length, c)), dtype=np.float32)
+        start = MADD_COUNTER.total
+        block.forward(cls_token, patches)
+        per_sample = _attention_madds(1, length + 1, length + 1, c) + 2 * c * mlp_hidden(c, 3.0)
+        assert per_sample == 3_648
+        assert MADD_COUNTER.total - start == batch * per_sample
+
+    def test_records_twenty_five_nodes(self, rng):
+        # concat, norm, narrow, the 16 attention nodes, residual add, norm,
+        # the 3 MLP nodes and the MLP residual add
+        block = ClassAttentionBlock(np.random.default_rng(0), 12, 3, 3.0)
+        cls_token = Tensor(rng.standard_normal((2, 1, 12)), dtype=np.float32, requires_grad=True)
+        patches = Tensor(rng.standard_normal((2, 7, 12)), dtype=np.float32, requires_grad=True)
+        with Tape() as tape:
+            block.forward(cls_token, patches)
+            assert len(tape) == 25

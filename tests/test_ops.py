@@ -197,7 +197,7 @@ class TestShapeOps:
                 ops.concat([a, *others], axis=axis)
 
     def test_reshape_size_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             ops.reshape(Tensor(np.ones((2, 3))), (4, 2))
 
 

@@ -41,6 +41,16 @@ class TestTensor:
         with pytest.raises(ContractError):
             Tensor(np.zeros(3), dtype=np.int64)
 
+    def test_rank_zero_kept(self):
+        # a 0-d array stays rank 0, so sum_all's loss is a true scalar
+        assert Tensor(np.float64(2.0)).shape == ()
+        x = Tensor(np.ones((3, 4)), requires_grad=True)
+        with Tape() as tape:
+            loss = ops.sum_all(ops.scale(x, 2.0))
+            assert loss.shape == ()
+            grads = backward(loss, tape)
+        np.testing.assert_array_equal(grads[x], np.full((3, 4), 2.0))
+
     def test_item_requires_single_element(self):
         assert Tensor(np.array([2.5])).item() == pytest.approx(2.5)
         with pytest.raises(ContractError):
