@@ -21,11 +21,10 @@ from .attention import (
 )
 from .blocks import (
     ClassAttentionBlock,
-    ConvBlock,
     LayerNorm,
-    LocalAttentionBlock,
     Mlp,
     OutlookerBlock,
+    ResidualBlock,
     TransformerBlock,
     drop_path_schedule,
     mlp_hidden,
@@ -65,21 +64,20 @@ from .windows import WindowGeometry, fold, fold_array, in_bounds_mask, unfold, u
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamW", "ClassAttentionBlock", "ContractError", "Conv2d", "ConvBlock",
-    "CostQuery", "DivergenceError", "GRADCHECK_KINDS", "GeometryError",
-    "LAYER_KINDS", "LayerNorm", "LocalAttentionBlock", "LocalSelfAttention",
-    "MADD_COUNTER", "MAddCounter", "Mlp", "ModelConfig", "ORACLE_KINDS",
-    "OracleCase", "OracleReport", "OutlookAttention", "OutlookerBlock",
-    "PRESETS", "REFERENCE_MADDS", "REFERENCE_PARAMS",
-    "SelfAttention", "ShapeError", "Tape", "Tensor", "TrainRecord",
-    "TransformerBlock", "TwoStageModel", "WindowGeometry", "accuracy",
-    "analytic_madds", "backward", "build_layer", "build_model", "count_params",
-    "count_params_config", "cross_entropy", "drop_path_schedule",
-    "finite_diff_grad", "fold", "fold_array", "gen_synthetic", "gradient_check",
-    "in_bounds_mask", "layer_input", "madds", "max_abs_error", "measured_madds",
-    "mlp_hidden", "oracle_check", "oracle_conv", "oracle_fold",
-    "oracle_local_self_attention", "oracle_outlook_attention",
-    "oracle_self_attention", "oracle_unfold", "patchify", "relative_error",
-    "stochastic_depth_mask", "train_toy", "trunc_normal", "unfold",
-    "unfold_array",
+    "AdamW", "ClassAttentionBlock", "ContractError", "Conv2d", "CostQuery",
+    "DivergenceError", "GRADCHECK_KINDS", "GeometryError", "LAYER_KINDS",
+    "LayerNorm", "LocalSelfAttention", "MADD_COUNTER", "MAddCounter", "Mlp",
+    "ModelConfig", "ORACLE_KINDS", "OracleCase", "OracleReport",
+    "OutlookAttention", "OutlookerBlock", "PRESETS", "REFERENCE_MADDS",
+    "REFERENCE_PARAMS", "ResidualBlock", "SelfAttention", "ShapeError", "Tape",
+    "Tensor", "TrainRecord", "TransformerBlock", "TwoStageModel",
+    "WindowGeometry", "accuracy", "analytic_madds", "backward", "build_layer",
+    "build_model", "count_params", "count_params_config", "cross_entropy",
+    "drop_path_schedule", "finite_diff_grad", "fold", "fold_array",
+    "gen_synthetic", "gradient_check", "in_bounds_mask", "layer_input", "madds",
+    "max_abs_error", "measured_madds", "mlp_hidden", "oracle_check",
+    "oracle_conv", "oracle_fold", "oracle_local_self_attention",
+    "oracle_outlook_attention", "oracle_self_attention", "oracle_unfold",
+    "patchify", "relative_error", "stochastic_depth_mask", "train_toy",
+    "trunc_normal", "unfold", "unfold_array",
 ]

@@ -307,6 +307,11 @@ def _attention_madds(queries: int, tokens: int, span: int, c: int) -> int:
     return 2 * queries * c * c + 2 * tokens * c * c + 2 * queries * span * c
 
 
+def _conv_madds(windows: int, k: int, cin: int, cout: int) -> int:
+    """K×K cross-correlation: one K²·Cin × Cout GEMM row per window."""
+    return windows * k * k * cin * cout
+
+
 def madds(query: CostQuery, kind: str) -> int:
     """Closed-form multiply-add count of one stride-1 layer forward pass.
 
@@ -330,7 +335,7 @@ def madds(query: CostQuery, kind: str) -> int:
     if kind == "oa":
         return _oa_madds(hw, hw, c, query.heads, query.kernel)
     if kind == "conv":
-        return hw * k2 * c * c
+        return _conv_madds(hw, query.kernel, c, c)
     raise ShapeError(f"unknown layer kind {kind!r}; expected one of {LAYER_KINDS}")
 
 

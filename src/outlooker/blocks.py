@@ -1,10 +1,16 @@
 """Residual blocks: pre-norm token mixing + MLP, and stochastic depth.
 
-Every block computes ``x + mix(norm(x))`` followed by ``y + mlp(norm(y))``
-on inputs with any leading (batch) axes.  During training each residual
-branch can be dropped per sample (stochastic depth), and axis 0 of a block's
-input is the sample axis: a kept branch is scaled by 1/(1-rate) so the
-expectation matches inference, where dropping is disabled entirely.
+``ResidualBlock`` wraps any token mixer: it computes ``x + mix(norm(x))``
+followed by ``y + mlp(norm(y))`` on inputs with any leading (batch) axes.
+``OutlookerBlock`` and ``TransformerBlock`` are that block around outlook
+attention and full self-attention; a stage-1 swap puts the layer that
+``attention.build_layer`` makes in it.  ``ClassAttentionBlock`` updates only
+the class token, attending over the class and patch tokens.
+
+During training each residual branch can be dropped per sample (stochastic
+depth), and axis 0 of a block's input is the sample axis: a kept branch is
+scaled by 1/(1-rate) so the expectation matches inference, where dropping is
+disabled entirely.
 """
 
 from __future__ import annotations
@@ -12,8 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .attention import (Conv2d, LocalSelfAttention, Module, MultiHeadCore, OutlookAttention,
-                        SelfAttention, _param, _zeros)
+from .attention import Module, MultiHeadCore, OutlookAttention, SelfAttention, _param, _zeros
 from .errors import ContractError, ShapeError
 from .tensor import Tensor
 
@@ -72,8 +77,8 @@ class Mlp(Module):
     __call__ = forward
 
 
-class _ResidualBlock(Module):
-    """Shared plumbing: two pre-norm residual branches with optional drop."""
+class ResidualBlock(Module):
+    """Two pre-norm residual branches, ``mixer`` then an MLP, with optional drop."""
 
     def __init__(self, mixer, rng, channels, mlp_ratio, drop_path, dtype):
         self.norm1 = LayerNorm(channels, dtype=dtype)
@@ -98,7 +103,7 @@ class _ResidualBlock(Module):
     __call__ = forward
 
 
-class OutlookerBlock(_ResidualBlock):
+class OutlookerBlock(ResidualBlock):
     """Outlook attention + MLP residual pair on a (..., H, W, C) map."""
 
     def __init__(self, rng, channels: int, heads: int, kernel: int = 3, stride: int = 1,
@@ -107,25 +112,7 @@ class OutlookerBlock(_ResidualBlock):
         super().__init__(mixer, rng, channels, mlp_ratio, drop_path, dtype)
 
 
-class LocalAttentionBlock(_ResidualBlock):
-    """Neighborhood self-attention + MLP residual pair on a (..., H, W, C) map."""
-
-    def __init__(self, rng, channels: int, heads: int, kernel: int = 3,
-                 mlp_ratio: float = 3.0, drop_path: float = 0.0, dtype=np.float32):
-        mixer = LocalSelfAttention(rng, channels, heads, kernel, dtype=dtype)
-        super().__init__(mixer, rng, channels, mlp_ratio, drop_path, dtype)
-
-
-class ConvBlock(_ResidualBlock):
-    """Same-width convolution + MLP residual pair on a (..., H, W, C) map."""
-
-    def __init__(self, rng, channels: int, kernel: int = 3,
-                 mlp_ratio: float = 3.0, drop_path: float = 0.0, dtype=np.float32):
-        mixer = Conv2d(rng, kernel, channels, channels, dtype=dtype)
-        super().__init__(mixer, rng, channels, mlp_ratio, drop_path, dtype)
-
-
-class TransformerBlock(_ResidualBlock):
+class TransformerBlock(ResidualBlock):
     """Full self-attention + MLP residual pair on a (..., L, C) token list."""
 
     def __init__(self, rng, channels: int, heads: int, mlp_ratio: float = 3.0,

@@ -25,14 +25,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import ops
-from .attention import Conv2d, CostQuery, Module, _attention_madds, _oa_madds, _param, _zeros, madds
+from .attention import (Conv2d, CostQuery, Module, _attention_madds, _conv_madds, _oa_madds,
+                        _param, _zeros, build_layer, madds)
 from .blocks import (
     ClassAttentionBlock,
-    ConvBlock,
     LayerNorm,
-    LocalAttentionBlock,
     Mlp,
     OutlookerBlock,
+    ResidualBlock,
     TransformerBlock,
     check_drop_rate,
     drop_path_schedule,
@@ -202,16 +202,13 @@ def patchify(t: Tensor, patch: int) -> Tensor:
     return ops.reshape(t, (*lead, height // patch, width // patch, patch * patch * channels))
 
 
-def _stage1_block(kind: str, rng, config: ModelConfig, rate: float, dtype):
-    if kind == "outlook":
-        return OutlookerBlock(rng, config.stage1_dim, config.outlooker_heads,
-                              config.kernel, config.stride, config.outlooker_mlp_ratio,
-                              rate, dtype=dtype)
-    if kind == "lsa":
-        return LocalAttentionBlock(rng, config.stage1_dim, config.outlooker_heads,
-                                   config.kernel, config.outlooker_mlp_ratio, rate, dtype=dtype)
-    return ConvBlock(rng, config.stage1_dim, config.kernel,
-                     config.outlooker_mlp_ratio, rate, dtype=dtype)
+def _stage1_block(rng, config: ModelConfig, rate: float, dtype):
+    c1, heads, ratio = config.stage1_dim, config.outlooker_heads, config.outlooker_mlp_ratio
+    if config.stage1_kind == "outlook":
+        return OutlookerBlock(rng, c1, heads, config.kernel, config.stride, ratio, rate, dtype)
+    g1 = config.stage1_grid
+    mixer = build_layer(config.stage1_kind, CostQuery(g1, g1, c1, config.kernel, heads), rng, dtype)
+    return ResidualBlock(mixer, rng, c1, ratio, rate, dtype)
 
 
 class TwoStageModel(Module):
@@ -225,8 +222,7 @@ class TwoStageModel(Module):
 
         self.stem = Stem(rng, c1, dtype=dtype)
         self.stage1 = [
-            _stage1_block(config.stage1_kind, rng, config, rates[i], dtype)
-            for i in range(config.num_outlookers)
+            _stage1_block(rng, config, rates[i], dtype) for i in range(config.num_outlookers)
         ]
         self.down_w = _param(rng, (DOWNSAMPLE ** 2 * c1, c2), dtype)
         self.down_b = _zeros(c2, dtype)
@@ -337,9 +333,11 @@ def analytic_madds(config: ModelConfig, resolution: int | None = None) -> int:
 
     Counts every matmul/linear sweep: stem convs and projection, stage-1
     mixers, MLPs, downsample, transformer attention, class-attention blocks,
-    and head.  The mixers and transformer attention are the per-layer closed
-    forms of ``attention.madds`` (outlook attention at its stride-adjusted
-    window count); class attention is the same attention form with one query.
+    and head, each with its layer's closed form from ``attention``: the conv
+    form for the three stem convs (7×7/2, then two 3×3, all on the S/2 grid);
+    ``madds`` for a stage-1 swap, which ``build_layer`` builds; outlook
+    attention at its stride-adjusted window count; the attention form over L
+    tokens for self-attention and with one query for class attention.
     Softmax/norm work is excluded, exactly as in the instrumented counter.
     """
     size = config.image_size if resolution is None else int(resolution)
@@ -348,8 +346,8 @@ def analytic_madds(config: ModelConfig, resolution: int | None = None) -> int:
     c1, c2, k = config.stage1_dim, config.stage2_dim, config.kernel
 
     half = size // 2
-    stem = (half * half * (49 * 3) * STEM_HIDDEN
-            + 2 * madds(CostQuery(half, half, STEM_HIDDEN, 3), "conv")
+    stem = (_conv_madds(half * half, 7, 3, STEM_HIDDEN)
+            + 2 * _conv_madds(half * half, 3, STEM_HIDDEN, STEM_HIDDEN)
             + hw1 * (STEM_PATCH ** 2 * STEM_HIDDEN) * c1)
 
     if config.stage1_kind == "outlook":
@@ -363,7 +361,7 @@ def analytic_madds(config: ModelConfig, resolution: int | None = None) -> int:
     down = length * (DOWNSAMPLE ** 2 * c1) * c2
 
     mlp2 = 2 * c2 * mlp_hidden(c2, config.transformer_mlp_ratio)
-    sa = madds(CostQuery(length, 1, c2), "sa")
+    sa = _attention_madds(length, length, length, c2)
     stage2 = config.num_transformers * (sa + length * mlp2)
 
     ca = _attention_madds(1, length + 1, length + 1, c2)

@@ -61,6 +61,8 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ContractError(f"expected (B, classes) logits, got {logits.shape}")
     batch, classes = logits.shape
     labels = np.asarray(labels)
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ContractError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.shape != (batch,):
         raise ContractError(f"expected {batch} labels, got shape {labels.shape}")
     if ((labels < 0) | (labels >= classes)).any():
@@ -78,7 +80,8 @@ class AdamW:
     ``eps`` are fixed class constants.  Decay is applied directly to the
     weights (scaled by lr), not mixed into the gradient, and skips vectors:
     biases, norm scales, and other rank-1 parameters stay unregularized as is
-    conventional.
+    conventional.  ``step`` raises ``ContractError``, before it changes
+    anything, for a gradient whose shape or dtype is not its parameter's.
     """
 
     beta1 = 0.9
@@ -98,6 +101,11 @@ class AdamW:
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, grads: dict[Tensor, np.ndarray]) -> None:
+        for p in self.params:
+            g = grads.get(p)
+            if g is not None and (g.shape != p.shape or g.dtype != p.dtype):
+                raise ContractError(f"gradient {g.dtype}{g.shape} does not match "
+                                    f"parameter {p.dtype}{p.shape}")
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
@@ -105,7 +113,6 @@ class AdamW:
             g = grads.get(p)
             if g is None:
                 continue
-            g = g.astype(p.data.dtype, copy=False)
             m, v = self._m[i], self._v[i]
             # two scratch arrays instead of a temporary per operator; each
             # line keeps the operand order of the expression in its comment

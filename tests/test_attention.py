@@ -37,6 +37,22 @@ class TestConstruction:
         with pytest.raises(ShapeError):
             SelfAttention(rng, 10, 4)
 
+    @pytest.mark.parametrize("build, shape", [
+        (lambda rng: OutlookAttention(rng, 8, 2), (6, 6, 4)),
+        (lambda rng: OutlookAttention(rng, 8, 2), (6, 8)),
+        (lambda rng: LocalSelfAttention(rng, 8, 2), (6, 6, 4)),
+        (lambda rng: LocalSelfAttention(rng, 8, 2), (6, 8)),
+        (lambda rng: SelfAttention(rng, 8, 2), (6, 4)),
+        (lambda rng: SelfAttention(rng, 8, 2), (8,)),
+        (lambda rng: Conv2d(rng, 3, 4, 8), (6, 6, 8)),
+        (lambda rng: Conv2d(rng, 3, 4, 8), (6, 4)),
+    ], ids=["oa_channels", "oa_rank", "lsa_channels", "lsa_rank", "sa_channels", "sa_rank",
+            "conv_channels", "conv_rank"])
+    def test_forward_rejects_wrong_shape(self, build, shape):
+        layer = build(np.random.default_rng(0))
+        with pytest.raises(ShapeError):
+            layer.forward(Tensor(np.zeros(shape, dtype=np.float32)))
+
     def test_even_kernel_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(GeometryError):

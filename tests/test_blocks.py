@@ -6,11 +6,12 @@ import pytest
 from outlooker import (
     MADD_COUNTER,
     ClassAttentionBlock,
-    ConvBlock,
+    Conv2d,
     LayerNorm,
-    LocalAttentionBlock,
+    LocalSelfAttention,
     Mlp,
     OutlookerBlock,
+    ResidualBlock,
     Tape,
     Tensor,
     TransformerBlock,
@@ -56,6 +57,10 @@ class TestStochasticDepth:
         with pytest.raises(ContractError):
             stochastic_depth_mask(1.0, 4, rng)
 
+    def test_empty_batch_rejected(self, rng):
+        with pytest.raises(ContractError):
+            stochastic_depth_mask(0.1, 0, rng)
+
     def test_schedule_ramps_linearly(self):
         sched = drop_path_schedule(0.3, 4)
         np.testing.assert_allclose(sched, [0.0, 0.1, 0.2, 0.3])
@@ -76,8 +81,10 @@ class TestLayerNormModule:
     "build,shape",
     [
         (lambda rng: OutlookerBlock(rng, 8, 2, 3, 2, 3.0), (6, 6, 8)),
-        (lambda rng: LocalAttentionBlock(rng, 8, 2, 3, 3.0), (6, 6, 8)),
-        (lambda rng: ConvBlock(rng, 8, 3, 3.0), (6, 6, 8)),
+        (lambda rng: ResidualBlock(LocalSelfAttention(rng, 8, 2, 3, dtype=np.float32), rng, 8,
+                                   3.0, 0.0, np.float32), (6, 6, 8)),
+        (lambda rng: ResidualBlock(Conv2d(rng, 3, 8, 8, dtype=np.float32), rng, 8, 3.0, 0.0,
+                                   np.float32), (6, 6, 8)),
         (lambda rng: TransformerBlock(rng, 8, 2, 3.0), (12, 8)),
     ],
 )
@@ -154,6 +161,14 @@ class TestClassAttention:
         with pytest.raises(ShapeError):
             block.forward(Tensor(rng.standard_normal((2, 8)).astype(np.float32)),
                           Tensor(rng.standard_normal((9, 8)).astype(np.float32)))
+
+    @pytest.mark.parametrize("patches", [(2, 9, 4), (3, 9, 8), (9, 8)],
+                             ids=["channels", "leading_axes", "rank"])
+    def test_patches_must_match_class_token(self, patches):
+        block = ClassAttentionBlock(np.random.default_rng(0), 8, 2, 3.0)
+        with pytest.raises(ShapeError):
+            block.forward(Tensor(np.zeros((2, 1, 8), dtype=np.float32)),
+                          Tensor(np.zeros(patches, dtype=np.float32)))
 
     def test_cost_is_one_query_attention_plus_one_mlp_row(self, rng):
         # per sample: q and o over the class token, k and v over all L+1

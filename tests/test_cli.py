@@ -72,6 +72,16 @@ class TestChecks:
         result = runner.invoke(main, ["oracle-check", "--kinds", "bogus"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["oracle-check", "--seeds", "1", "--kinds", "sa", "--tolerance", "0"],
+        ["gradcheck", "--seeds", "1", "--kinds", "softmax", "--tolerance", "0"],
+    ], ids=lambda args: args[0])
+    def test_failed_case_exits_one(self, runner, args):
+        # a zero tolerance fails on rounding alone, so the gate must trip
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert "1 FAILED" in result.output
+
 
 class TestBench:
     def test_csv_to_stdout(self, runner):
@@ -85,6 +95,30 @@ class TestBench:
         assert rows[0]["kind"] == "sa"
         # the counter matches the closed form to the multiply
         assert float(rows[0]["measured_over_analytic"]) == 1.0
+
+    def test_table_without_csv(self, runner):
+        result = runner.invoke(main, [
+            "bench", "--kinds", "sa,conv", "--sizes", "8x8",
+            "--channels", "16", "--heads", "4", "--reps", "1",
+        ])
+        assert result.exit_code == 0, result.output
+        header, *rows = result.output.splitlines()
+        assert header.split() == ["kind", "size", "median_ms", "analytic", "measured", "ratio"]
+        assert [r.split()[0] for r in rows] == ["sa", "conv"]
+        assert all(r.split()[1] == "8x8" and r.split()[-1] == "1.0000" for r in rows)
+
+    def test_csv_to_file(self, runner, tmp_path):
+        path = tmp_path / "bench.csv"
+        result = runner.invoke(main, [
+            "bench", "--kinds", "oa,lsa", "--sizes", "6x6,8x4",
+            "--channels", "8", "--heads", "2", "--reps", "1", "--csv", str(path),
+        ])
+        assert result.exit_code == 0, result.output
+        assert result.output.strip() == f"wrote 4 rows to {path}"
+        rows = list(csv.DictReader(io.StringIO(path.read_text())))
+        assert [(r["kind"], r["height"], r["width"]) for r in rows] == [
+            ("oa", "6", "6"), ("lsa", "6", "6"), ("oa", "8", "4"), ("lsa", "8", "4")]
+        assert all(r["analytic_madds"] == r["measured_madds"] for r in rows)
 
     def test_bad_size_is_usage_error(self, runner):
         result = runner.invoke(main, ["bench", "--sizes", "28by28"])

@@ -47,6 +47,11 @@ class TestModelConfig:
             with pytest.raises(ContractError):
                 ModelConfig.from_json(json.dumps(raw))
 
+    @pytest.mark.parametrize("text", ["[]", "3", "null"])
+    def test_json_that_is_not_an_object_rejected(self, text):
+        with pytest.raises(ContractError):
+            ModelConfig.from_json(text)
+
     def test_bad_stage1_kind_rejected(self):
         with pytest.raises(ContractError):
             ModelConfig(stage1_kind="dense")
@@ -76,6 +81,11 @@ class TestParamAccounting:
     @pytest.mark.parametrize("name", ["tiny", "d1"])
     def test_symbolic_equals_allocated(self, name):
         config = PRESETS[name]
+        assert count_params_config(config) == count_params(build_model(config, seed=0))
+
+    @pytest.mark.parametrize("kind", ["lsa", "conv"])
+    def test_symbolic_equals_allocated_for_swaps(self, kind):
+        config = dataclasses.replace(PRESETS["tiny"], stage1_kind=kind)
         assert count_params_config(config) == count_params(build_model(config, seed=0))
 
     def test_symbolic_count_frozen_d1(self):

@@ -201,6 +201,31 @@ class TestShapeOps:
             ops.reshape(Tensor(np.ones((2, 3))), (4, 2))
 
 
+def _zeros(*shape) -> Tensor:
+    return Tensor(np.zeros(shape))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ops.matmul(_zeros(3), _zeros(3, 2)),
+    lambda: ops.linear(_zeros(2, 3), _zeros(3, 2, 1)),
+    lambda: ops.linear(_zeros(2, 3), _zeros(4, 2)),
+    lambda: ops.linear(_zeros(2, 3), _zeros(3, 2), _zeros(3)),
+    lambda: ops.expand(_zeros(2), 0),
+    lambda: ops.permute(_zeros(2, 3), (0, 0)),
+    lambda: ops.concat([]),
+    lambda: ops.narrow(_zeros(2, 3), 2, 0, 1),
+    lambda: ops.narrow(_zeros(2, 3), 1, 2, 2),
+    lambda: ops.layer_norm(_zeros(2, 3), _zeros(4), _zeros(3)),
+    lambda: ops.avg_pool(_zeros(2, 2, 3), 0),
+    lambda: ops.avg_pool(_zeros(2, 3), 2),
+], ids=["matmul_rank1", "linear_rank3_weight", "linear_misaligned", "linear_bias_shape",
+        "expand_zero", "permute_bad_axes", "concat_empty", "narrow_bad_axis",
+        "narrow_bad_range", "layer_norm_gamma", "avg_pool_stride_zero", "avg_pool_rank2"])
+def test_shape_contract_violation_raises(call):
+    with pytest.raises(ShapeError):
+        call()
+
+
 class TestAvgPool:
     def test_stride_one_is_identity(self, rng):
         x = rng.standard_normal((4, 5, 3))

@@ -20,6 +20,7 @@ from outlooker import (
 from outlooker import ops
 from outlooker.attention import CostQuery, build_layer, layer_input, madds, measured_madds
 from outlooker.errors import ContractError
+from outlooker.tensor import from_op
 
 
 class TestTensor:
@@ -86,6 +87,27 @@ class TestTapeAndBackward:
             y = ops.scale(x, 1.0)
             with pytest.raises(ContractError):
                 backward(y, tape)
+
+    def test_loss_must_be_a_tensor(self):
+        with Tape() as tape:
+            with pytest.raises(ContractError):
+                backward(np.float32(1.0), tape)
+
+    @pytest.mark.parametrize("closure", [lambda g: (g, g), lambda g: (g[:2],)],
+                             ids=["arity", "shape"])
+    def test_closure_returning_wrong_gradients_raises(self, closure):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            loss = ops.sum_all(from_op(2.0 * x.data, (x,), closure))
+            with pytest.raises(ContractError):
+                backward(loss, tape)
+
+    def test_exiting_an_outer_tape_first_raises(self):
+        outer, inner = Tape(), Tape()
+        with outer:
+            with inner:
+                with pytest.raises(ContractError):
+                    outer.__exit__(None, None, None)
 
     def test_untouched_param_gets_zero_gradient(self):
         x = Tensor(np.ones(2), requires_grad=True)

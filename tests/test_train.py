@@ -76,6 +76,13 @@ class TestCrossEntropy:
         with pytest.raises(ContractError):
             cross_entropy(logits, np.array([label]))
 
+    @pytest.mark.parametrize("labels", [np.array([2.0]), np.array([True])], ids=["float", "bool"])
+    def test_non_integer_labels_rejected(self, labels):
+        # numpy would raise a bare IndexError for either as an index
+        logits = Tensor(np.array([[0.0, 1.0, 5.0]]), dtype=np.float64)
+        with pytest.raises(ContractError):
+            cross_entropy(logits, labels)
+
 
 class TestAdamW:
     def test_first_step_is_signed_lr(self):
@@ -100,6 +107,22 @@ class TestAdamW:
         opt = AdamW([p, q], lr=0.1)
         opt.step({p: np.ones(2)})
         np.testing.assert_array_equal(q.data, np.ones(2))
+
+    @pytest.mark.parametrize("grad", [
+        np.ones((2, 3), dtype=np.float64),
+        np.ones((), dtype=np.float32),
+        np.ones(3, dtype=np.float32),
+    ], ids=["float64", "scalar", "row"])
+    def test_gradient_unlike_its_parameter_rejected(self, grad):
+        # a cast would hide a dtype promotion, a broadcast a gradient of
+        # another tensor; nothing is updated before the error
+        p = Tensor(np.ones((2, 3)), dtype=np.float32)
+        q = Tensor(np.ones(2), dtype=np.float32)
+        opt = AdamW([q, p], lr=0.1)
+        with pytest.raises(ContractError):
+            opt.step({q: np.ones(2, dtype=np.float32), p: grad})
+        np.testing.assert_array_equal(q.data, np.ones(2))
+        assert opt.step_count == 0
 
     def test_validation(self):
         with pytest.raises(ContractError):
