@@ -22,8 +22,9 @@ mixes its value stack and folds it back from that layout; the local ``mix``
 multiplies its key stack by each token's one query, (K², dh) @ (dh, 1), and
 its value stack by the masked softmax of those scores.
 
-``madds`` gives the closed-form cost of each layer kind at stride 1;
-``measured_madds`` runs the instrumented counter, which matches it exactly.
+``_cost`` gives each layer kind's (parameters, multiply-adds) at stride 1 and
+``madds`` its multiply-add half; ``measured_madds`` runs the instrumented
+counter, which matches it exactly.
 """
 
 from __future__ import annotations
@@ -292,24 +293,39 @@ class CostQuery:
 LAYER_KINDS = ("oa", "lsa", "sa", "conv")
 
 
-def _oa_madds(tokens: int, windows: int, c: int, heads: int, k: int) -> int:
-    """Outlook attention over ``tokens`` positions with ``windows`` window centers.
+def _oa_cost(tokens: int, windows: int, c: int, heads: int, k: int) -> tuple[int, int]:
+    """(params, madds) of outlook attention over ``tokens`` positions, ``windows`` centers.
 
-    Value and output projections over every token, the logit projection and
-    the K⁴·C window aggregation once per window (windows == tokens at stride 1).
+    Value (no bias) and output projections over every token, the logit projection
+    and the K⁴·C window aggregation once per window (windows == tokens at stride 1).
     """
     k4 = k ** 4
-    return 2 * tokens * c * c + windows * c * heads * k4 + windows * k4 * c
+    return (2 * c * c + c * heads * k4 + heads * k4 + c,
+            2 * tokens * c * c + windows * c * heads * k4 + windows * k4 * c)
 
 
-def _attention_madds(queries: int, tokens: int, span: int, c: int) -> int:
+def _attention_cost(queries: int, tokens: int, span: int, c: int) -> tuple[int, int]:
     """``attend``: q, o over ``queries``, k, v over ``tokens``, two GEMMs over ``span``."""
-    return 2 * queries * c * c + 2 * tokens * c * c + 2 * queries * span * c
+    return 4 * (c * c + c), 2 * queries * c * c + 2 * tokens * c * c + 2 * queries * span * c
 
 
-def _conv_madds(windows: int, k: int, cin: int, cout: int) -> int:
-    """K×K cross-correlation: one K²·Cin × Cout GEMM row per window."""
-    return windows * k * k * cin * cout
+def _conv_cost(windows: int, k: int, cin: int, cout: int) -> tuple[int, int]:
+    """K×K cross-correlation, one K²·Cin × Cout GEMM row per window; K = 1 is a linear."""
+    return k * k * cin * cout + cout, windows * k * k * cin * cout
+
+
+def _cost(query: CostQuery, kind: str) -> tuple[int, int]:
+    """(params, madds) of the stride-1 layer ``build_layer(kind, query, …)`` makes."""
+    hw, c = query.height * query.width, query.channels
+    if kind == "sa":
+        return _attention_cost(hw, hw, hw, c)
+    if kind == "lsa":
+        return _attention_cost(hw, hw, query.kernel * query.kernel, c)
+    if kind == "oa":
+        return _oa_cost(hw, hw, c, query.heads, query.kernel)
+    if kind == "conv":
+        return _conv_cost(hw, query.kernel, c, c)
+    raise ShapeError(f"unknown layer kind {kind!r}; expected one of {LAYER_KINDS}")
 
 
 def madds(query: CostQuery, kind: str) -> int:
@@ -325,18 +341,7 @@ def madds(query: CostQuery, kind: str) -> int:
     multiply-adds per location.  ``measured_madds`` reports what the
     instrumented counter sees, and agrees with these forms exactly.
     """
-    hw = query.height * query.width
-    c = query.channels
-    k2 = query.kernel * query.kernel
-    if kind == "sa":
-        return _attention_madds(hw, hw, hw, c)
-    if kind == "lsa":
-        return _attention_madds(hw, hw, k2, c)
-    if kind == "oa":
-        return _oa_madds(hw, hw, c, query.heads, query.kernel)
-    if kind == "conv":
-        return _conv_madds(hw, query.kernel, c, c)
-    raise ShapeError(f"unknown layer kind {kind!r}; expected one of {LAYER_KINDS}")
+    return _cost(query, kind)[1]
 
 
 def build_layer(kind: str, query: CostQuery, rng, dtype=np.float64):

@@ -24,9 +24,9 @@ from .tensor import Tensor
 
 
 def mlp_hidden(channels: int, ratio: float) -> int:
-    """Hidden width ratio·C, required to be an exact integer."""
+    """Hidden width ratio·C, required to be a finite, exact positive integer."""
     hidden = channels * ratio
-    rounded = int(round(hidden))
+    rounded = int(round(hidden)) if np.isfinite(hidden) else 0
     if abs(hidden - rounded) > 1e-9 or rounded < 1:
         raise ShapeError(f"mlp ratio {ratio} times width {channels} is not a positive integer")
     return rounded

@@ -65,6 +65,13 @@ def _parse_csv(value: str, allowed: tuple[str, ...], what: str) -> tuple[str, ..
     return items
 
 
+def _finite(ctx, param, value: float) -> float:
+    """Option callback: NaN and ±inf pass click's float ranges, so reject them here."""
+    if not np.isfinite(value):
+        raise click.BadParameter(f"must be a finite number, got {value}")
+    return value
+
+
 def _echo_report(report, as_json: bool) -> None:
     click.echo(report.to_json() if as_json else report.format_table())
     if not report.passed:
@@ -235,9 +242,10 @@ def bench(kinds: str, sizes: str, channels: int, kernel: int, heads: int,
 @click.option("--config", "config_name", default="tiny", show_default=True)
 @click.option("--steps", type=click.IntRange(min=1), default=500, show_default=True)
 @click.option("--lr", type=click.FloatRange(min=0, min_open=True), default=2e-3,
-              show_default=True)
+              show_default=True, callback=_finite)
 @click.option("--batch-size", type=click.IntRange(min=1), default=8, show_default=True)
-@click.option("--weight-decay", type=click.FloatRange(min=0), default=0.01, show_default=True)
+@click.option("--weight-decay", type=click.FloatRange(min=0), default=0.01, show_default=True,
+              callback=_finite)
 @click.option("--warmup", type=click.IntRange(min=0), default=50, show_default=True,
               help="Linear learning-rate ramp over this many first steps.")
 @click.option("--per-class", type=click.IntRange(min=1), default=8, show_default=True,
@@ -245,7 +253,7 @@ def bench(kinds: str, sizes: str, channels: int, kernel: int, heads: int,
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--log-every", type=click.IntRange(min=0), default=50, show_default=True)
 @click.option("--min-accuracy", type=click.FloatRange(0, 1), default=0.0, show_default=True,
-              help="Exit 1 if final train accuracy lands below this.")
+              callback=_finite, help="Exit 1 if final train accuracy lands below this.")
 @click.option("--json", "as_json", is_flag=True)
 def train_toy_cmd(config_name: str, steps: int, lr: float, batch_size: int,
                   weight_decay: float, warmup: int, per_class: int, seed: int,
@@ -276,7 +284,8 @@ def train_toy_cmd(config_name: str, steps: int, lr: float, batch_size: int,
 @click.option("--classes", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--size", type=click.IntRange(min=1), default=32, show_default=True)
 @click.option("--per-class", type=click.IntRange(min=1), default=8, show_default=True)
-@click.option("--noise", type=float, default=0.25, show_default=True)
+@click.option("--noise", type=click.FloatRange(min=0), default=0.25, show_default=True,
+              callback=_finite)
 @click.option("--seed", type=int, default=0, show_default=True)
 def gen_data(out_path: str, classes: int, size: int, per_class: int,
              noise: float, seed: int) -> None:

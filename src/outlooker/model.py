@@ -11,8 +11,9 @@ Pipeline (channels-last throughout, one batched pass over B images):
     → linear head → logits (B, classes).
 
 ``count_params_config`` and ``analytic_madds`` account for the architecture
-symbolically (no allocation); ``count_params`` counts an instantiated model
-and matches the symbolic number exactly.
+symbolically (no allocation): both sum one parts list, ``_parts``, priced by
+the layer kinds' closed forms in ``attention``.  ``count_params`` counts an
+instantiated model and matches the symbolic number exactly.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import ops
-from .attention import (Conv2d, CostQuery, Module, _attention_madds, _conv_madds, _oa_madds,
-                        _param, _zeros, build_layer, madds)
+from .attention import (Conv2d, CostQuery, Module, _attention_cost, _conv_cost, _cost, _oa_cost,
+                        _param, _zeros, build_layer)
 from .blocks import (
     ClassAttentionBlock,
     LayerNorm,
@@ -292,79 +293,59 @@ def count_params(model: TwoStageModel) -> int:
 # symbolic accounting (no allocation)
 
 
-def _linear_params(cin: int, cout: int, bias: bool = True) -> int:
-    return cin * cout + (cout if bias else 0)
+def _block(channels: int, mixer: tuple[int, int], hidden: int, tokens: int) -> tuple[int, int]:
+    """(params, madds) of a residual pair: two norms, ``mixer``, an MLP over ``tokens``."""
+    up, down = _conv_cost(tokens, 1, channels, hidden), _conv_cost(tokens, 1, hidden, channels)
+    return 4 * channels + mixer[0] + up[0] + down[0], mixer[1] + up[1] + down[1]
 
 
-def _mlp_params(c: int, ratio: float) -> int:
-    hidden = mlp_hidden(c, ratio)
-    return _linear_params(c, hidden) + _linear_params(hidden, c)
+def _parts(config: ModelConfig, size: int) -> list[tuple[int, int, int]]:
+    """(copies, params, madds) of each part of the model at S×S, in forward order.
 
-
-def _stage1_mixer_params(config: ModelConfig) -> int:
-    c, k = config.stage1_dim, config.kernel
+    Each layer is priced by its kind's closed form from ``attention``: the conv
+    form for the stem convs on the S/2 grid and, at K = 1, for every linear;
+    ``_cost`` for a stage-1 swap, which ``build_layer`` builds; outlook attention
+    at its stride-adjusted window count; the attention form over L tokens, and
+    with one query for class attention, whose MLP runs over that one token.
+    Norms, the position table and the class token add parameters only.
+    """
+    g1, g2 = _grids(size)
+    hw1, length, half = g1 * g1, g2 * g2, (size // 2) ** 2
+    c1, c2, k, heads = config.stage1_dim, config.stage2_dim, config.kernel, config.outlooker_heads
     if config.stage1_kind == "outlook":
-        return (_linear_params(c, c, bias=False)
-                + _linear_params(c, config.outlooker_heads * k ** 4)
-                + _linear_params(c, c))
-    if config.stage1_kind == "lsa":
-        return 4 * _linear_params(c, c)
-    return _linear_params(k * k * c, c)  # conv
+        mixer = _oa_cost(hw1, WindowGeometry(g1, g1, k, config.stride).windows, c1, heads, k)
+    else:
+        mixer = _cost(CostQuery(g1, g1, c1, k, heads), config.stage1_kind)
+    hidden1 = mlp_hidden(c1, config.outlooker_mlp_ratio)
+    hidden2 = mlp_hidden(c2, config.transformer_mlp_ratio)
+    return [
+        (1, *_conv_cost(half, 7, 3, STEM_HIDDEN)),
+        (2, *_conv_cost(half, 3, STEM_HIDDEN, STEM_HIDDEN)),
+        (3, 2 * STEM_HIDDEN, 0),                                            # stem norms
+        (1, *_conv_cost(hw1, 1, STEM_PATCH ** 2 * STEM_HIDDEN, c1)),       # stem projection
+        (config.num_outlookers, *_block(c1, mixer, hidden1, hw1)),
+        (1, *_conv_cost(length, 1, DOWNSAMPLE ** 2 * c1, c2)),             # downsample
+        (1, length * c2, 0),                                                # position table
+        (config.num_transformers,
+         *_block(c2, _attention_cost(length, length, length, c2), hidden2, length)),
+        (1, c2, 0),                                                         # class token
+        (config.num_class_blocks,
+         *_block(c2, _attention_cost(1, length + 1, length + 1, c2), hidden2, 1)),
+        (1, 2 * c2, 0),                                                     # final norm
+        (1, *_conv_cost(1, 1, c2, config.num_classes)),                     # head
+    ]
 
 
 def count_params_config(config: ModelConfig) -> int:
     """Exact parameter count straight from the config (matches count_params)."""
-    c1, c2 = config.stage1_dim, config.stage2_dim
-    stem = (_linear_params(49 * 3, STEM_HIDDEN) + 2 * _linear_params(9 * STEM_HIDDEN, STEM_HIDDEN)
-            + 3 * 2 * STEM_HIDDEN + _linear_params(STEM_PATCH ** 2 * STEM_HIDDEN, c1))
-    oblock = 2 * 2 * c1 + _stage1_mixer_params(config) + _mlp_params(c1, config.outlooker_mlp_ratio)
-    tblock = 2 * 2 * c2 + 4 * _linear_params(c2, c2) + _mlp_params(c2, config.transformer_mlp_ratio)
-    cablock = tblock  # same projections, norms, and MLP shape
-    down = _linear_params(DOWNSAMPLE ** 2 * c1, c2)
-    pos = config.stage2_grid ** 2 * c2
-    head = _linear_params(c2, config.num_classes)
-    return (stem + config.num_outlookers * oblock + down + pos
-            + config.num_transformers * tblock + c2
-            + config.num_class_blocks * cablock + 2 * c2 + head)
+    return sum(copies * params for copies, params, _ in _parts(config, config.image_size))
 
 
 def analytic_madds(config: ModelConfig, resolution: int | None = None) -> int:
     """Closed-form multiply-adds of one forward pass at a given resolution.
 
-    Counts every matmul/linear sweep: stem convs and projection, stage-1
-    mixers, MLPs, downsample, transformer attention, class-attention blocks,
-    and head, each with its layer's closed form from ``attention``: the conv
-    form for the three stem convs (7×7/2, then two 3×3, all on the S/2 grid);
-    ``madds`` for a stage-1 swap, which ``build_layer`` builds; outlook
-    attention at its stride-adjusted window count; the attention form over L
-    tokens for self-attention and with one query for class attention.
-    Softmax/norm work is excluded, exactly as in the instrumented counter.
+    Sums the parts list that ``count_params_config`` sums.  Softmax/norm work
+    is excluded, exactly as in the instrumented counter.
     """
     size = config.image_size if resolution is None else int(resolution)
-    g1, g2 = _grids(size)
-    hw1, length = g1 * g1, g2 * g2
-    c1, c2, k = config.stage1_dim, config.stage2_dim, config.kernel
-
-    half = size // 2
-    stem = (_conv_madds(half * half, 7, 3, STEM_HIDDEN)
-            + 2 * _conv_madds(half * half, 3, STEM_HIDDEN, STEM_HIDDEN)
-            + hw1 * (STEM_PATCH ** 2 * STEM_HIDDEN) * c1)
-
-    if config.stage1_kind == "outlook":
-        wins = WindowGeometry(g1, g1, k, config.stride).windows
-        mixer = _oa_madds(hw1, wins, c1, config.outlooker_heads, k)
-    else:
-        mixer = madds(CostQuery(g1, g1, c1, k, config.outlooker_heads), config.stage1_kind)
-    mlp1 = 2 * c1 * mlp_hidden(c1, config.outlooker_mlp_ratio)     # per token
-    stage1 = config.num_outlookers * (mixer + hw1 * mlp1)
-
-    down = length * (DOWNSAMPLE ** 2 * c1) * c2
-
-    mlp2 = 2 * c2 * mlp_hidden(c2, config.transformer_mlp_ratio)
-    sa = _attention_madds(length, length, length, c2)
-    stage2 = config.num_transformers * (sa + length * mlp2)
-
-    ca = _attention_madds(1, length + 1, length + 1, c2)
-    class_stage = config.num_class_blocks * (ca + mlp2)
-
-    return stem + stage1 + down + stage2 + class_stage + c2 * config.num_classes
+    return sum(copies * madds for copies, _, madds in _parts(config, size))

@@ -31,8 +31,11 @@ def gen_synthetic(
 
     Class templates are sums of three low-frequency plane waves with
     class-specific frequencies, phases, and channel amplitudes, standardized
-    to zero mean and unit variance.  Same seed, same dataset.
+    to zero mean and unit variance.  Same seed, same dataset.  Raises
+    ``ContractError`` when ``noise`` is negative, NaN or infinite.
     """
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ContractError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     yy, xx = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     templates = np.empty((num_classes, size, size, 3), dtype=np.float64)
@@ -80,8 +83,9 @@ class AdamW:
     ``eps`` are fixed class constants.  Decay is applied directly to the
     weights (scaled by lr), not mixed into the gradient, and skips vectors:
     biases, norm scales, and other rank-1 parameters stay unregularized as is
-    conventional.  ``step`` raises ``ContractError``, before it changes
-    anything, for a gradient whose shape or dtype is not its parameter's.
+    conventional.  ``ContractError`` is raised for an ``lr`` that is not finite
+    and positive or a ``weight_decay`` that is not finite and >= 0, and by ``step``,
+    before it changes anything, for a gradient unlike its parameter in shape or dtype.
     """
 
     beta1 = 0.9
@@ -89,10 +93,10 @@ class AdamW:
     eps = 1e-8
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3, weight_decay: float = 0.0):
-        if lr <= 0:
-            raise ContractError(f"lr must be positive, got {lr}")
-        if weight_decay < 0:
-            raise ContractError(f"weight_decay must be >= 0, got {weight_decay}")
+        if not (math.isfinite(lr) and lr > 0):
+            raise ContractError(f"lr must be finite and positive, got {lr}")
+        if not (math.isfinite(weight_decay) and weight_decay >= 0):
+            raise ContractError(f"weight_decay must be finite and >= 0, got {weight_decay}")
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay

@@ -25,7 +25,7 @@ from outlooker import (
     unfold,
     unfold_array,
 )
-from outlooker.attention import merge_heads, split_heads
+from outlooker.attention import LAYER_KINDS, _cost, _oa_cost, merge_heads, split_heads
 from outlooker.errors import GeometryError, ShapeError
 
 
@@ -330,6 +330,18 @@ class TestCostModel:
         measured = measured_madds(layer, x)
         assert measured == k2_sweep + gap
         assert measured == madds(query, "oa")
+
+    @pytest.mark.parametrize("kind", LAYER_KINDS)
+    @pytest.mark.parametrize("query", [CostQuery(4, 4, 8, 3, 2), CostQuery(6, 5, 12, 5, 3),
+                                       CostQuery(2, 7, 16, 1, 4)], ids=str)
+    def test_closed_form_params_equal_allocated(self, kind, query):
+        layer = build_layer(kind, query, np.random.default_rng(0))
+        assert _cost(query, kind)[0] == sum(p.size for p in layer.parameters())
+
+    def test_oa_params_equal_allocated_at_stride_two(self):
+        layer = OutlookAttention(np.random.default_rng(0), 12, 3, 3, stride=2)
+        windows = WindowGeometry(7, 7, 3, 2).windows
+        assert _oa_cost(49, windows, 12, 3, 3)[0] == sum(p.size for p in layer.parameters())
 
     def test_oa_cheaper_than_lsa_at_reference_width(self):
         for height, width in ((14, 14), (28, 28), (56, 56), (17, 31)):

@@ -20,7 +20,7 @@ from outlooker import (
     ops,
     stochastic_depth_mask,
 )
-from outlooker.attention import _attention_madds
+from outlooker.attention import _attention_cost
 from outlooker.errors import ContractError, ShapeError
 from outlooker.oracle import oracle_self_attention, relative_error
 
@@ -33,6 +33,11 @@ class TestMlpSizing:
     def test_fractional_hidden_rejected(self):
         with pytest.raises(ShapeError):
             mlp_hidden(10, 0.15)
+
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_ratio_rejected(self, ratio):
+        with pytest.raises(ShapeError):
+            mlp_hidden(192, ratio)
 
     def test_mlp_forward_matches_composition(self, rng):
         mlp = Mlp(np.random.default_rng(0), 8, 3.0, dtype=np.float64)
@@ -179,7 +184,7 @@ class TestClassAttention:
         patches = Tensor(rng.standard_normal((batch, length, c)), dtype=np.float32)
         start = MADD_COUNTER.total
         block.forward(cls_token, patches)
-        per_sample = _attention_madds(1, length + 1, length + 1, c) + 2 * c * mlp_hidden(c, 3.0)
+        per_sample = _attention_cost(1, length + 1, length + 1, c)[1] + 2 * c * mlp_hidden(c, 3.0)
         assert per_sample == 3_648
         assert MADD_COUNTER.total - start == batch * per_sample
 

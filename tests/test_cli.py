@@ -1,6 +1,7 @@
 """Command-line surface: every subcommand, exit codes, and file formats."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -50,6 +51,16 @@ class TestInspect:
         result = runner.invoke(main, ["inspect", "--config", "tiny", "--allocate"])
         assert result.exit_code == 0
         assert "allocated" in result.output
+
+    @pytest.mark.parametrize("kind", ["lsa", "conv"])
+    def test_allocate_cross_check_for_swaps(self, runner, tmp_path, kind):
+        config = dataclasses.replace(PRESETS["tiny"], stage1_kind=kind)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(dataclasses.asdict(config)))
+        result = runner.invoke(main, ["inspect", "--config", str(path), "--allocate", "--json"])
+        assert result.exit_code == 0, result.output
+        blob = json.loads(result.output)
+        assert blob["allocated_params"] == blob["params"]
 
     def test_human_output_mentions_targets_for_presets(self, runner):
         result = runner.invoke(main, ["inspect", "--config", "d1"])
@@ -172,9 +183,16 @@ class TestGenData:
     ["train-toy", "--log-every", "-1", "--json"],
     ["train-toy", "--warmup", "-5", "--json"],
     ["train-toy", "--min-accuracy", "1.5", "--json"],
+    ["train-toy", "--lr", "nan", "--json"],
+    ["train-toy", "--lr", "inf", "--json"],
+    ["train-toy", "--weight-decay", "nan", "--json"],
+    ["train-toy", "--min-accuracy", "nan", "--json"],
     ["gen-data", "--classes", "0"],
     ["gen-data", "--per-class", "0"],
     ["gen-data", "--size", "0"],
+    ["gen-data", "--noise", "nan"],
+    ["gen-data", "--noise", "inf"],
+    ["gen-data", "--noise", "-1"],
 ], ids="_".join)
 def test_input_that_cannot_run_is_usage_error(runner, args, tmp_path):
     if args[0] == "gen-data":
@@ -190,6 +208,8 @@ def test_input_that_cannot_run_is_usage_error(runner, args, tmp_path):
     ("drop_path_rate", 1.5),
     ("num_outlookers", -1),
     ("num_classes", 0),
+    ("outlooker_mlp_ratio", float("nan")),
+    ("transformer_mlp_ratio", float("inf")),
 ])
 def test_config_the_model_cannot_build_is_usage_error(runner, field, value, tmp_path):
     with pytest.raises((ContractError, GeometryError, ShapeError)):

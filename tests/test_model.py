@@ -88,6 +88,12 @@ class TestParamAccounting:
         config = dataclasses.replace(PRESETS["tiny"], stage1_kind=kind)
         assert count_params_config(config) == count_params(build_model(config, seed=0))
 
+    @pytest.mark.parametrize("kind", ["outlook", "lsa", "conv"])
+    @pytest.mark.parametrize("size", [16, 32, 64])
+    def test_symbolic_equals_allocated_tiny_at_sizes(self, kind, size):
+        config = dataclasses.replace(PRESETS["tiny"], stage1_kind=kind, image_size=size)
+        assert count_params_config(config) == count_params(build_model(config, seed=0))
+
     def test_symbolic_count_frozen_d1(self):
         assert count_params_config(PRESETS["d1"]) == 26_265_664
 

@@ -45,6 +45,11 @@ class TestSyntheticData:
         first = images[labels == 0]
         np.testing.assert_array_equal(first[0], first[1])
 
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -1.0])
+    def test_noise_must_be_finite_and_non_negative(self, noise):
+        with pytest.raises(ContractError):
+            gen_synthetic(num_classes=2, size=8, per_class=1, noise=noise)
+
 
 class TestCrossEntropy:
     def test_uniform_logits_give_log_classes(self):
@@ -129,6 +134,13 @@ class TestAdamW:
             AdamW([], lr=0.0)
         with pytest.raises(ContractError):
             AdamW([], lr=0.1, weight_decay=-1.0)
+
+    @pytest.mark.parametrize("lr, weight_decay", [
+        (math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan), (0.1, math.inf),
+    ], ids=["lr-nan", "lr-inf", "decay-nan", "decay-inf"])
+    def test_non_finite_hyperparameters_rejected(self, lr, weight_decay):
+        with pytest.raises(ContractError):
+            AdamW([], lr=lr, weight_decay=weight_decay)
 
 
 class TestTrainToy:
