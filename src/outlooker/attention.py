@@ -10,7 +10,8 @@ the same code with no leading axes.
 * ``LocalSelfAttention``: dot-product attention restricted to each token's
   K×K neighborhood (padded positions masked out of the softmax).
 * ``SelfAttention``: full scaled dot-product attention over a flat list.
-* ``Conv2d``: K×K cross-correlation, one GEMM over the unfolded windows.
+* ``Conv2d``: K×K cross-correlation, each window's K²·Cin row times the
+  weight, over bands of windows so that no pass builds the whole stack.
 
 ``SelfAttention``, ``LocalSelfAttention`` and the class-attention block are
 one ``MultiHeadCore``: ``attend`` projects q from the query tokens and k, v
@@ -42,13 +43,13 @@ from .windows import (
     check_heads,
     check_window,
     fold,
-    fold_array,
     in_bounds_mask,
+    padded_windows,
     unfold,
-    unfold_array,
 )
 
 INIT_STD = 0.02
+_PIECE_BYTES = 1 << 20     # largest band of windows the Conv2d forward copies
 
 
 def _param(rng, shape, dtype) -> Tensor:
@@ -223,12 +224,15 @@ class SelfAttention(MultiHeadCore):
 
 
 class Conv2d(Module):
-    """K×K cross-correlation with zero padding ⌊K/2⌋ and bias.
+    """K×K cross-correlation with zero padding ⌊K/2⌋ and bias, as one tape node.
 
-    The forward is the GEMM of the unfolded window stack with the K²·Cin×Cout
-    weight, recorded as one tape node.  The node keeps the input and the
-    weight, not the stack: its backward re-unfolds the input for the weight
-    gradient and folds the stack gradient back onto the input.
+    The node keeps the input and the weight; no pass builds the whole
+    K²·Cin-wide window stack.  With ``pieces`` = ⌈stack bytes / ``_PIECE_BYTES``⌉,
+    the forward multiplies the windows of ⌈h/pieces⌉ output rows at a time by
+    the weight.  The backward takes the kernel rows in min(K, pieces) groups and
+    scatter-adds each group's input gradient in ``fold_array``'s slot order;
+    each weight-gradient element stays one sum over all windows.  So every
+    element is the same sum in the same order at any piece count.
     """
 
     def __init__(self, rng, kernel: int, cin: int, cout: int, stride: int = 1,
@@ -247,24 +251,48 @@ class Conv2d(Module):
         ops._same_dtype("conv", x, self.weight, self.bias)
         *lead, height, width, _ = x.shape
         geom = WindowGeometry(height, width, self.kernel, self.stride)
-        k2, cin, cout = self.kernel * self.kernel, self.cin, self.cout
-        shape = (*lead, geom.windows, k2 * cin)
-        wmat = self.weight.data.reshape(k2 * cin, cout)
-        data = unfold_array(x.data, geom).reshape(shape) @ wmat + self.bias.data
-        MADD_COUNTER.add(math.prod(shape) * cout)
+        k, cin, cout = self.kernel, self.cin, self.cout
+        h, w, row = geom.out_height, geom.out_width, k * k * cin
+        wmat = self.weight.data.reshape(row, cout)
+        stack_rows = math.prod(lead) * geom.windows
+        pieces = max(1, -(-stack_rows * row * x.dtype.itemsize // _PIECE_BYTES))
+        MADD_COUNTER.add(stack_rows * row * cout)
+
+        inner, view = padded_windows(lead, cin, geom, x.dtype)
+        inner[...] = x.data
+        out = np.empty((*lead, h, w, cout), dtype=x.dtype)
+        band = -(-h // pieces)
+        for a in range(0, h, band):
+            rows = min(band, h - a)
+            stack = np.ascontiguousarray(view[..., a : a + rows, :, 0, :, :, :])
+            out[..., a : a + rows, :, :] = (
+                stack.reshape(*lead, rows * w, row) @ wmat).reshape(*lead, rows, w, cout)
+        out += self.bias.data
         xdata, weight_shape, needs_gx = x.data, self.weight.shape, x.requires_grad
 
         def backward_fn(g):
             g = g.reshape(*lead, geom.windows, cout)
             g2 = g.reshape(-1, cout)
-            gx = None
+            inner, view = padded_windows(lead, cin, geom, xdata.dtype)
+            inner[...] = xdata
             if needs_gx:
-                gx = fold_array((g @ wmat.T).reshape(*lead, geom.windows, 1, k2, cin), geom)
-            stack = unfold_array(xdata, geom).reshape(-1, k2 * cin)
-            gw = (stack.T @ g2).reshape(weight_shape)
-            return (gx, gw, g2.sum(axis=0))
+                gx, gview = padded_windows(lead, cin, geom, xdata.dtype)
+            gw = np.empty((row, cout), dtype=xdata.dtype)
+            group = -(-k // min(k, pieces))
+            for dp in range(0, k, group):
+                krows = min(group, k - dp)
+                lo, hi = dp * k * cin, (dp + krows) * k * cin
+                if needs_gx:
+                    part = (g @ wmat[lo:hi].T).reshape(*lead, h, w, krows, k, cin)
+                    for i, dq in np.ndindex(krows, k):
+                        gview[..., 0, dp + i, dq, :] += part[..., i, dq, :]
+                    del part        # freed before the slab is copied
+                slab = np.ascontiguousarray(view[..., 0, dp : dp + krows, :, :])
+                gw[lo:hi] = slab.reshape(-1, hi - lo).T @ g2
+                del slab
+            return (np.ascontiguousarray(gx) if needs_gx else None,
+                    gw.reshape(weight_shape), g2.sum(axis=0))
 
-        out = data.reshape(*lead, geom.out_height, geom.out_width, cout)
         return from_op(out, (x, self.weight, self.bias), backward_fn)
 
     __call__ = forward

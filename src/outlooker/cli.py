@@ -19,6 +19,7 @@ import json
 import statistics
 import sys
 import time
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -183,7 +184,7 @@ def gradcheck(seeds: int, tolerance: float, kinds: str, as_json: bool) -> None:
               help="Write rows as CSV to this path ('-' for stdout).")
 def bench(kinds: str, sizes: str, channels: int, kernel: int, heads: int,
           reps: int, csv_path: str | None) -> None:
-    """Time layer forwards and report analytic vs measured multiply-adds."""
+    """Time layer forwards; report peak traced memory and analytic vs measured multiply-adds."""
     picked = _parse_csv(kinds, LAYER_KINDS, "kind")
     shapes = []
     for token in sizes.split(","):
@@ -204,6 +205,7 @@ def bench(kinds: str, sizes: str, channels: int, kernel: int, heads: int,
                 raise click.UsageError(str(exc)) from exc
             x = layer_input(kind, query, rng, dtype=np.float32)
             measured = measured_madds(layer, x)
+            peak = _forward_peak_mb(layer, x)
             times = []
             for _ in range(reps):
                 start = time.perf_counter()
@@ -214,6 +216,7 @@ def bench(kinds: str, sizes: str, channels: int, kernel: int, heads: int,
                 "kind": kind, "height": height, "width": width,
                 "channels": channels, "kernel": kernel, "heads": heads,
                 "median_ms": round(1e3 * statistics.median(times), 3),
+                "peak_mb": round(peak, 3),
                 "analytic_madds": analytic, "measured_madds": measured,
                 "measured_over_analytic": round(measured / analytic, 4),
             })
@@ -229,13 +232,31 @@ def bench(kinds: str, sizes: str, channels: int, kernel: int, heads: int,
             Path(csv_path).write_text(buf.getvalue())
             click.echo(f"wrote {len(rows)} rows to {csv_path}")
     else:
-        header = (f"{'kind':<6} {'size':<8} {'median_ms':>10} "
+        header = (f"{'kind':<6} {'size':<8} {'median_ms':>10} {'peak_mb':>9} "
                   f"{'analytic':>14} {'measured':>14} {'ratio':>7}")
         click.echo(header)
         for r in rows:
             click.echo(f"{r['kind']:<6} {r['height']}x{r['width']:<6} "
-                       f"{r['median_ms']:>10.3f} {r['analytic_madds']:>14,} "
+                       f"{r['median_ms']:>10.3f} {r['peak_mb']:>9.3f} {r['analytic_madds']:>14,} "
                        f"{r['measured_madds']:>14,} {r['measured_over_analytic']:>7.4f}")
+
+
+def _forward_peak_mb(layer, x) -> float:
+    """Traced peak, in MB, that one forward of ``layer`` on ``x`` adds to what is allocated.
+
+    An active tracemalloc session is left running, with its peak reset.
+    """
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        layer.forward(x)
+        return (tracemalloc.get_traced_memory()[1] - start) / 1e6
+    finally:
+        if not outer:
+            tracemalloc.stop()
 
 
 @main.command(name="train-toy")
@@ -250,7 +271,7 @@ def bench(kinds: str, sizes: str, channels: int, kernel: int, heads: int,
               help="Linear learning-rate ramp over this many first steps.")
 @click.option("--per-class", type=click.IntRange(min=1), default=8, show_default=True,
               help="Synthetic images per class.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--log-every", type=click.IntRange(min=0), default=50, show_default=True)
 @click.option("--min-accuracy", type=click.FloatRange(0, 1), default=0.0, show_default=True,
               callback=_finite, help="Exit 1 if final train accuracy lands below this.")
@@ -286,7 +307,7 @@ def train_toy_cmd(config_name: str, steps: int, lr: float, batch_size: int,
 @click.option("--per-class", type=click.IntRange(min=1), default=8, show_default=True)
 @click.option("--noise", type=click.FloatRange(min=0), default=0.25, show_default=True,
               callback=_finite)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def gen_data(out_path: str, classes: int, size: int, per_class: int,
              noise: float, seed: int) -> None:
     """Write the synthetic classification set to an .npz file."""

@@ -259,11 +259,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         )
     _same_dtype("layer_norm", x, gamma, beta)
     mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    xhat = x.data - mu                 # centred here, normalized in place below
+    var = np.mean(xhat * xhat, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
-    out = xhat * gamma.data + beta.data
+    xhat *= inv
+    out = xhat * gamma.data
+    out += beta.data
 
     def backward_fn(g):
         gg = g * gamma.data

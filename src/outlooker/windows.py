@@ -12,20 +12,23 @@ as a batch axis, carry through unchanged.
 The stack is head-major, (..., windows, N, K², C/N), the layout multi-head
 attention multiplies: head ``n`` of a slot holds channels n·C/N to
 (n + 1)·C/N of its token.  ``heads`` defaults to 1, which gives one
-(K², C) block per window; a convolution reshapes it to a K²·C row.
+(K², C) block per window, read by a convolution as one K²·C row.
 
-Both kernels work through one strided view of the padded map, shaped
+``padded_windows`` decides that layout: it allocates the zero-padded map and
+returns its interior and one strided view of its windows, shaped
 (..., h, w, N, K, K, C/N) with no copy: the view splits the channels as
 (N, C/N) and puts the head axis before the window slots.  ``unfold`` is one
 contiguous copy of that view, and ``fold`` scatter-adds each slot back
-through it.  ``fold`` is the exact linear adjoint of ``unfold``:
-⟨unfold(x), y⟩ = ⟨x, fold(y)⟩, which is also how the two ops provide each
-other's backward.  Only odd kernels are supported: an even window has no
-center token.
+through it; ``Conv2d`` copies and scatters through the same view a piece at
+a time, so it never holds the whole stack.  ``fold`` is the exact linear
+adjoint of ``unfold``: ⟨unfold(x), y⟩ = ⟨x, fold(y)⟩, which is also how the
+two ops provide each other's backward.  Only odd kernels are supported: an
+even window has no center token.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,40 +86,42 @@ class WindowGeometry:
         return self.out_height * self.out_width
 
 
-def _windows(padded: np.ndarray, geom: WindowGeometry, heads: int) -> np.ndarray:
-    """Writeable view of every window of a padded map: (..., h, w, N, K, K, C/N).
+def padded_windows(lead: Sequence[int], channels: int, geom: WindowGeometry, dtype,
+                   heads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """A zeroed padded map, as two writeable views of its one buffer.
 
-    Window (a, b) starts at padded row a·s, column b·s; its last row is at most
+    Returns the (..., H, W, C) interior, where the map goes, and the view of
+    every window, (..., h, w, N, K, K, C/N), with no copy.  Window (a, b)
+    starts at padded row a·s, column b·s; its last row is at most
     s·(⌈H/s⌉ − 1) + K − 1 ≤ H + K − 2, inside the H + K − 1 padded rows.
     """
-    k, s = geom.kernel, geom.stride
-    *lead, _, _, channels = padded.shape
+    k, s, p = geom.kernel, geom.stride, geom.padding
+    padded = np.zeros((*lead, geom.height + 2 * p, geom.width + 2 * p, channels), dtype=dtype)
     *lead_strides, row, col, chan = padded.strides
     cn = channels // heads
     shape = (*lead, geom.out_height, geom.out_width, heads, k, k, cn)
-    return as_strided(padded, shape, (*lead_strides, s * row, s * col, cn * chan, row, col, chan))
+    view = as_strided(padded, shape, (*lead_strides, s * row, s * col, cn * chan, row, col, chan))
+    return padded[..., p : p + geom.height, p : p + geom.width, :], view
 
 
 def unfold_array(x: np.ndarray, geom: WindowGeometry, heads: int = 1) -> np.ndarray:
     """Forward kernel on a raw array: (..., H, W, C) → (..., windows, N, K², C/N)."""
-    k2, p = geom.kernel * geom.kernel, geom.padding
-    *lead, height, width, channels = x.shape
-    padded = np.zeros((*lead, height + 2 * p, width + 2 * p, channels), dtype=x.dtype)
-    padded[..., p : p + height, p : p + width, :] = x
-    out = np.ascontiguousarray(_windows(padded, geom, heads))
-    return out.reshape(*lead, geom.windows, heads, k2, channels // heads)
+    *lead, _, _, channels = x.shape
+    inner, view = padded_windows(lead, channels, geom, x.dtype, heads)
+    inner[...] = x
+    out = np.ascontiguousarray(view)
+    return out.reshape(*lead, geom.windows, heads, geom.kernel * geom.kernel, channels // heads)
 
 
 def fold_array(y: np.ndarray, geom: WindowGeometry, heads: int = 1) -> np.ndarray:
     """Adjoint kernel on a raw array: (..., windows, N, K², C/N) → (..., H, W, C)."""
-    k, p = geom.kernel, geom.padding
+    k = geom.kernel
     *lead, _, _, _, cn = y.shape
     grid = y.reshape(*lead, geom.out_height, geom.out_width, heads, k, k, cn)
-    padded = np.zeros((*lead, geom.height + 2 * p, geom.width + 2 * p, heads * cn), dtype=y.dtype)
-    view = _windows(padded, geom, heads)
+    inner, view = padded_windows(lead, heads * cn, geom, y.dtype, heads)
     for dp, dq in np.ndindex(k, k):     # one slot at a time: its windows never overlap
         view[..., dp, dq, :] += grid[..., dp, dq, :]
-    return np.ascontiguousarray(padded[..., p : p + geom.height, p : p + geom.width, :])
+    return np.ascontiguousarray(inner)
 
 
 def _check_map(x: Tensor, geom: WindowGeometry, heads: int) -> None:

@@ -1,6 +1,9 @@
 """Attention layers: shape contracts, identities, multi-head structure,
 cost model (analytic and instrumented)."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,19 +93,28 @@ class TestConstruction:
 
 
 class TestConvTapeNode:
-    @pytest.mark.parametrize("kernel, stride", [(3, 1), (7, 2)])
-    def test_one_node_bit_equal_to_unfold_then_linear(self, rng, kernel, stride):
-        conv = Conv2d(np.random.default_rng(3), kernel, 3, 8, stride=stride)
-        conv.bias.data[...] = rng.standard_normal(8)
-        x = Tensor(rng.standard_normal((2, 9, 10, 3)), dtype=np.float32, requires_grad=True)
-        geom = WindowGeometry(9, 10, kernel, stride)
-        probe = Tensor(rng.standard_normal((2, geom.out_height, geom.out_width, 8)),
+    @pytest.mark.parametrize("kernel, stride, lead, size, cin, cout", [
+        pytest.param(3, 1, (2,), (9, 10), 3, 8, id="3-1"),
+        pytest.param(7, 2, (2,), (9, 10), 3, 8, id="7-2"),
+        pytest.param(3, 1, (), (9, 10), 3, 8, id="unbatched"),
+        pytest.param(5, 2, (3, 2), (7, 6), 4, 5, id="two-leading-axes"),
+        # tiny's stem conv: a 4.7 MB stack, walked in several pieces both ways
+        pytest.param(3, 1, (8,), (16, 16), 64, 64, id="tiny-stem"),
+    ])
+    def test_one_node_bit_equal_to_unfold_then_linear(self, rng, kernel, stride, lead, size,
+                                                      cin, cout):
+        conv = Conv2d(np.random.default_rng(3), kernel, cin, cout, stride=stride)
+        conv.bias.data[...] = rng.standard_normal(cout)
+        x = Tensor(rng.standard_normal((*lead, *size, cin)), dtype=np.float32,
+                   requires_grad=True)
+        geom = WindowGeometry(*size, kernel, stride)
+        probe = Tensor(rng.standard_normal((*lead, geom.out_height, geom.out_width, cout)),
                        dtype=np.float32)
 
         def composed(t):
-            rows = kernel * kernel * 3
-            flat = ops.reshape(unfold(t, geom), (2, geom.windows, rows))
-            out = ops.linear(flat, ops.reshape(conv.weight, (rows, 8)), conv.bias)
+            rows = kernel * kernel * cin
+            flat = ops.reshape(unfold(t, geom), (*lead, geom.windows, rows))
+            out = ops.linear(flat, ops.reshape(conv.weight, (rows, cout)), conv.bias)
             return ops.reshape(out, probe.shape)
 
         def run(forward):
@@ -118,11 +130,34 @@ class TestConvTapeNode:
         out, grads, nodes, counted = run(conv.forward)
         want_out, want_grads, want_nodes, want_counted = run(composed)
         assert (nodes, want_nodes) == (1, 5)
-        assert counted == want_counted == geom.windows * 2 * kernel * kernel * 3 * 8
+        assert counted == want_counted == (
+            geom.windows * math.prod(lead) * kernel * kernel * cin * cout)
         np.testing.assert_array_equal(out, want_out)
         for got, want in zip(grads, want_grads):
             assert got.dtype == np.float32
             np.testing.assert_array_equal(got, want)
+
+    def test_no_pass_allocates_the_whole_window_stack(self, rng):
+        conv = Conv2d(np.random.default_rng(3), 5, 16, 16)
+        x = Tensor(rng.standard_normal((2, 48, 48, 16)), dtype=np.float32, requires_grad=True)
+        stack_bytes = 2 * 48 * 48 * 25 * 16 * 4       # 7.37 MB
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                out = conv(x)
+                forward_peak = tracemalloc.get_traced_memory()[1] - start
+                loss = ops.sum_all(out)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            grads = backward(loss, tape)
+            backward_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert grads[x].shape == x.shape
+        assert forward_peak < stack_bytes / 2
+        assert backward_peak < stack_bytes / 2
 
 
 class TestOutlookHeadMajor:

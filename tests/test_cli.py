@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -114,9 +115,23 @@ class TestBench:
         ])
         assert result.exit_code == 0, result.output
         header, *rows = result.output.splitlines()
-        assert header.split() == ["kind", "size", "median_ms", "analytic", "measured", "ratio"]
+        assert header.split() == [
+            "kind", "size", "median_ms", "peak_mb", "analytic", "measured", "ratio"]
         assert [r.split()[0] for r in rows] == ["sa", "conv"]
         assert all(r.split()[1] == "8x8" and r.split()[-1] == "1.0000" for r in rows)
+        assert all(float(r.split()[3]) > 0 for r in rows)
+
+    def test_peak_leaves_an_outer_trace_running(self, runner):
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, [
+                "bench", "--kinds", "conv", "--sizes", "8x8", "--channels", "16", "--reps", "1",
+            ])
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        assert float(result.output.splitlines()[1].split()[3]) > 0
 
     def test_csv_to_file(self, runner, tmp_path):
         path = tmp_path / "bench.csv"
@@ -187,12 +202,14 @@ class TestGenData:
     ["train-toy", "--lr", "inf", "--json"],
     ["train-toy", "--weight-decay", "nan", "--json"],
     ["train-toy", "--min-accuracy", "nan", "--json"],
+    ["train-toy", "--seed", "-1", "--json"],
     ["gen-data", "--classes", "0"],
     ["gen-data", "--per-class", "0"],
     ["gen-data", "--size", "0"],
     ["gen-data", "--noise", "nan"],
     ["gen-data", "--noise", "inf"],
     ["gen-data", "--noise", "-1"],
+    ["gen-data", "--seed", "-1"],
 ], ids="_".join)
 def test_input_that_cannot_run_is_usage_error(runner, args, tmp_path):
     if args[0] == "gen-data":
