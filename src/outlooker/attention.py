@@ -19,9 +19,10 @@ from the attended ones, and ``mix`` attends over flat lists, heads laid out
 as (..., heads, L, C/heads) via ``split_heads``/``merge_heads``.  The window
 layers make no head copies: they unfold straight into the head-major (...,
 windows, heads, K², C/heads) stack of ``windows``.  ``OutlookAttention``
-mixes its value stack and folds it back from that layout; the local ``mix``
-multiplies its key stack by each token's one query, (K², dh) @ (dh, 1), and
-its value stack by the masked softmax of those scores.
+mixes its value stack and folds it back from that layout in one tape node,
+which unfolds the values again in backward rather than keep the stack; the
+local ``mix`` multiplies its key stack by each token's one query, (K², dh) @
+(dh, 1), and its value stack by the masked softmax of those scores.
 
 ``_cost`` gives each layer kind's (parameters, multiply-adds) at stride 1 and
 ``madds`` its multiply-add half; ``measured_madds`` runs the instrumented
@@ -42,10 +43,11 @@ from .windows import (
     WindowGeometry,
     check_heads,
     check_window,
-    fold,
+    fold_array,
     in_bounds_mask,
     padded_windows,
     unfold,
+    unfold_array,
 )
 
 INIT_STD = 0.02
@@ -140,6 +142,9 @@ class OutlookAttention(Module):
     the unfolded value windows, and scatter-adds the K² result rows of every
     window back onto the full H×W grid before the output projection.
     The value projection carries no bias; the logit and output projections do.
+
+    The paper's Algorithm 1 (unfold, softmax, product, fold) is one tape node,
+    ``_outlook_core``, which keeps the values and the softmax output.
     """
 
     def __init__(self, rng, channels: int, heads: int, kernel: int = 3, stride: int = 1,
@@ -166,15 +171,39 @@ class OutlookAttention(Module):
         k2 = self.kernel * self.kernel
 
         values = ops.linear(x, self.w_v)                      # (..., H, W, C)
-        stack = unfold(values, geom, self.heads)              # (..., h·w, heads, K², cn)
-
         pooled = ops.avg_pool(x, self.stride)                 # identity at stride 1
         logits = ops.linear(pooled, self.w_a, self.b_a)       # (..., h, w, heads·K⁴)
-        attn = ops.softmax(ops.reshape(logits, (*lead, h * w, self.heads, k2, k2)))
-        mixed = ops.matmul(attn, stack)                       # (..., h·w, heads, K², cn)
-        return ops.linear(fold(mixed, geom, self.heads), self.w_o, self.b_o)
+        logits = ops.reshape(logits, (*lead, h * w, self.heads, k2, k2))
+        return ops.linear(_outlook_core(logits, values, geom, self.heads), self.w_o, self.b_o)
 
     __call__ = forward
+
+
+def _outlook_core(logits: Tensor, values: Tensor, geom: WindowGeometry, heads: int) -> Tensor:
+    """Algorithm 1's window step, fold(softmax(logits) @ unfold(values)), as one tape node.
+
+    ``logits``: (..., windows, N, K², K²), ``values``: (..., H, W, C) → (..., H, W, C).
+    The node keeps ``values`` and the softmax output, not the K²-wide value
+    stack.  Its backward makes the numpy calls of the four-op composition:
+    the value gradient ``fold(sᵀ @ gm)`` first, freed before ``values`` is
+    unfolded again for ``gm @ stackᵀ``, then the softmax backward.  The
+    product adds its multiply-adds to the counter as ``ops.matmul`` does.
+    """
+    k2 = geom.kernel * geom.kernel
+    s = ops._softmax_array(logits.data)
+    mixed = s @ unfold_array(values.data, geom, heads)
+    MADD_COUNTER.add(math.prod(s.shape[:-2]) * k2 * k2 * mixed.shape[-1])
+    out = fold_array(mixed, geom, heads)
+    vdata = values.data
+
+    def backward_fn(g):
+        gm = unfold_array(g, geom, heads)
+        gv = fold_array(s.swapaxes(-1, -2) @ gm, geom, heads)
+        gs = gm @ unfold_array(vdata, geom, heads).swapaxes(-1, -2)
+        del gm             # freed before the softmax backward
+        return (ops._softmax_grad(s, gs), gv)
+
+    return from_op(out, (logits, values), backward_fn)
 
 
 class LocalSelfAttention(MultiHeadCore):

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import ContractError, ShapeError
-from .tensor import MADD_COUNTER, Tensor, from_op
+from .tensor import MADD_COUNTER, Tensor, active_tape, from_op
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -218,21 +218,28 @@ def _row_max(d: np.ndarray) -> np.ndarray:
     return m
 
 
+def _softmax_array(d: np.ndarray) -> np.ndarray:
+    """Forward kernel of ``softmax`` on a raw array; returns a new array."""
+    s = d - _row_max(d)
+    np.exp(s, out=s)
+    np.divide(s, np.sum(s, axis=-1, keepdims=True), out=s)
+    return s
+
+
+def _softmax_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Backward kernel of ``softmax``: the input gradient from its output ``s``."""
+    dot = np.sum(g * s, axis=-1, keepdims=True)
+    return s * (g - dot)
+
+
 def softmax(x: Tensor) -> Tensor:
     """Exponential normalization along the last axis; each row sums to one.
 
     Computed as exp(x - max)/sum for overflow safety; ``-inf`` entries (used
     for masking) receive exactly zero weight.
     """
-    s = x.data - _row_max(x.data)
-    np.exp(s, out=s)
-    np.divide(s, np.sum(s, axis=-1, keepdims=True), out=s)
-
-    def backward_fn(g):
-        dot = np.sum(g * s, axis=-1, keepdims=True)
-        return (s * (g - dot),)
-
-    return from_op(s, (x,), backward_fn)
+    s = _softmax_array(x.data)
+    return from_op(s, (x,), lambda g: (_softmax_grad(s, g),))
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -267,27 +274,35 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     out += beta.data
 
     def backward_fn(g):
+        # gx = inv * (gg - m1 - xhat * m2), built in two buffers
         gg = g * gamma.data
         m1 = gg.mean(axis=-1, keepdims=True)
-        m2 = np.mean(gg * xhat, axis=-1, keepdims=True)
-        gx = inv * (gg - m1 - xhat * m2)
-        ggamma = (g * xhat).reshape(-1, c).sum(axis=0)
+        t = gg * xhat
+        m2 = np.mean(t, axis=-1, keepdims=True)
+        np.subtract(gg, m1, out=gg)
+        np.multiply(xhat, m2, out=t)
+        np.subtract(gg, t, out=gg)
+        np.multiply(inv, gg, out=gg)
+        np.multiply(g, xhat, out=t)
+        ggamma = t.reshape(-1, c).sum(axis=0)
         gbeta = g.reshape(-1, c).sum(axis=0)
-        return (gx, ggamma, gbeta)
+        return (gg, ggamma, gbeta)
 
     return from_op(out, (x, gamma, beta), backward_fn)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian-error linear unit, exact erf form: x * Phi(x)."""
+    """Gaussian-error linear unit, exact erf form: x * Phi(x).
+
+    A recorded node keeps only the derivative Phi(x) + x * pdf(x), computed in
+    the forward; an unrecorded call computes no derivative.
+    """
     d = x.data
     phi = 0.5 * (1.0 + erf(d * _INV_SQRT2))
-
-    def backward_fn(g):
-        pdf = np.exp(-0.5 * d * d) * _INV_SQRT_2PI
-        return (g * (phi + d * pdf),)
-
-    return from_op(d * phi, (x,), backward_fn)
+    deriv = None
+    if x.requires_grad and active_tape() is not None:     # the node will be recorded
+        deriv = phi + d * (np.exp(-0.5 * d * d) * _INV_SQRT_2PI)
+    return from_op(d * phi, (x,), lambda g: (g * deriv,))
 
 
 def sum_all(x: Tensor) -> Tensor:

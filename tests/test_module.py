@@ -11,6 +11,7 @@ from outlooker import (
     ClassAttentionBlock,
     OutlookerBlock,
     Tape,
+    Tensor,
     backward,
     build_model,
     cross_entropy,
@@ -91,10 +92,15 @@ def test_tracer_patch_points_all_fire():
     images = np.random.default_rng(0).standard_normal((2, 32, 32, 3)).astype(np.float32)
     labels = np.array([0, 1])
 
+    geom = windows.WindowGeometry(32, 32, 3)
+
     def step():
         with Tape() as tape:
             logits = model.forward(images, training=True, rng=np.random.default_rng(1))
-            loss = cross_entropy(logits, labels)
+            # outlook attention's window core is one node that calls no
+            # Tensor-level window op, so the step drives those ops itself
+            folded = windows.fold(windows.unfold(Tensor(images, requires_grad=True), geom), geom)
+            loss = ops.add(cross_entropy(logits, labels), ops.sum_all(folded))
             nodes = len(tape)
             grads = backward(loss, tape)
         opt.step(grads)

@@ -1,5 +1,7 @@
 """Forward semantics of the differentiable ops (gradients live in checks)."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import special
@@ -58,6 +60,39 @@ class TestElementwise:
         for out in (ops.gelu(x), ops.softmax(x), ops.scale(x, 0.5),
                     ops.layer_norm(x, gamma, beta)):
             assert out.dtype == np.float32
+
+
+class TestGeluNode:
+    def test_taped_node_keeps_only_its_derivative(self, rng):
+        x = Tensor(rng.standard_normal((4, 6)), dtype=np.float32, requires_grad=True)
+        with Tape() as tape:
+            ops.gelu(x)
+        (_, _, backward_fn), = tape._nodes
+        held = [c.cell_contents for c in backward_fn.__closure__ or ()]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        assert [a.shape for a in arrays] == [x.shape]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_input_gradient_bit_equal_to_erf_form(self, rng, dtype):
+        d = rng.standard_normal((5, 7)).astype(dtype)
+        g = rng.standard_normal((5, 7)).astype(dtype)
+        x = Tensor(d, requires_grad=True)
+        with Tape() as tape:
+            loss = ops.sum_all(ops.mul(ops.gelu(x), Tensor(g)))
+        got = backward(loss, tape)[x]
+        phi = 0.5 * (1.0 + special.erf(d * (1.0 / math.sqrt(2.0))))
+        pdf = np.exp(-0.5 * d * d) * (1.0 / math.sqrt(2.0 * math.pi))
+        want = g * (phi + d * pdf)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_untaped_output_bit_equal_to_taped(self, rng):
+        d = rng.standard_normal((3, 8)).astype(np.float32)
+        untaped = ops.gelu(Tensor(d, requires_grad=True)).data
+        with Tape() as tape:
+            taped = ops.gelu(Tensor(d, requires_grad=True)).data
+        assert len(tape) == 1
+        np.testing.assert_array_equal(untaped, taped)
 
 
 class TestDtypeContract:
@@ -171,6 +206,29 @@ class TestLayerNorm:
                              Tensor(beta, dtype=np.float64)).data
         xhat = (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + 1e-5)
         np.testing.assert_allclose(got, xhat * gamma + beta, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_bit_equal_to_closed_form(self, rng, dtype):
+        d = rng.standard_normal((2, 5, 8)).astype(dtype)
+        g = rng.standard_normal((2, 5, 8)).astype(dtype)
+        x = Tensor(d, requires_grad=True)
+        gamma, beta = (Tensor(rng.standard_normal(8), dtype=dtype, requires_grad=True)
+                       for _ in range(2))
+        with Tape() as tape:
+            loss = ops.sum_all(ops.mul(ops.layer_norm(x, gamma, beta), Tensor(g)))
+        grads = backward(loss, tape)
+        mu = d.mean(axis=-1, keepdims=True)
+        xc = d - mu
+        inv = 1.0 / np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + 1e-5)
+        xhat = xc * inv
+        gg = g * gamma.data
+        m1 = gg.mean(axis=-1, keepdims=True)
+        m2 = np.mean(gg * xhat, axis=-1, keepdims=True)
+        want = (inv * (gg - m1 - xhat * m2), (g * xhat).reshape(-1, 8).sum(axis=0),
+                g.reshape(-1, 8).sum(axis=0))
+        for got, expected in zip((grads[x], grads[gamma], grads[beta]), want):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestShapeOps:
