@@ -165,15 +165,10 @@ class OutlookAttention(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim < 3 or x.shape[-1] != self.channels:
             raise ShapeError(f"expected (..., H, W, {self.channels}), got {x.shape}")
-        *lead, height, width, _ = x.shape
-        geom = WindowGeometry(height, width, self.kernel, self.stride)
-        h, w = geom.out_height, geom.out_width
-        k2 = self.kernel * self.kernel
-
+        geom = WindowGeometry(*x.shape[-3:-1], self.kernel, self.stride)
         values = ops.linear(x, self.w_v)                      # (..., H, W, C)
         pooled = ops.avg_pool(x, self.stride)                 # identity at stride 1
         logits = ops.linear(pooled, self.w_a, self.b_a)       # (..., h, w, heads·K⁴)
-        logits = ops.reshape(logits, (*lead, h * w, self.heads, k2, k2))
         return ops.linear(_outlook_core(logits, values, geom, self.heads), self.w_o, self.b_o)
 
     __call__ = forward
@@ -182,18 +177,17 @@ class OutlookAttention(Module):
 def _outlook_core(logits: Tensor, values: Tensor, geom: WindowGeometry, heads: int) -> Tensor:
     """Algorithm 1's window step, fold(softmax(logits) @ unfold(values)), as one tape node.
 
-    ``logits``: (..., windows, N, K², K²), ``values``: (..., H, W, C) → (..., H, W, C).
+    ``logits``: (..., h, w, N·K⁴) as the logit projection makes them, read as
+    (..., windows, N, K², K²); ``values``: (..., H, W, C) → (..., H, W, C).
     The node keeps ``values`` and the softmax output, not the K²-wide value
     stack.  Its backward makes the numpy calls of the four-op composition:
     the value gradient ``fold(sᵀ @ gm)`` first, freed before ``values`` is
-    unfolded again for ``gm @ stackᵀ``, then the softmax backward.  The
-    product adds its multiply-adds to the counter as ``ops.matmul`` does.
+    unfolded again for ``gm @ stackᵀ``, then the softmax backward.
     """
     k2 = geom.kernel * geom.kernel
-    s = ops._softmax_array(logits.data)
-    mixed = s @ unfold_array(values.data, geom, heads)
-    MADD_COUNTER.add(math.prod(s.shape[:-2]) * k2 * k2 * mixed.shape[-1])
-    out = fold_array(mixed, geom, heads)
+    logits_shape = logits.shape
+    s = ops._softmax_array(logits.data.reshape(*logits_shape[:-3], geom.windows, heads, k2, k2))
+    out = fold_array(ops._gemm(s, unfold_array(values.data, geom, heads)), geom, heads)
     vdata = values.data
 
     def backward_fn(g):
@@ -201,7 +195,7 @@ def _outlook_core(logits: Tensor, values: Tensor, geom: WindowGeometry, heads: i
         gv = fold_array(s.swapaxes(-1, -2) @ gm, geom, heads)
         gs = gm @ unfold_array(vdata, geom, heads).swapaxes(-1, -2)
         del gm             # freed before the softmax backward
-        return (ops._softmax_grad(s, gs), gv)
+        return (ops._softmax_grad(s, gs).reshape(logits_shape), gv)
 
     return from_op(out, (logits, values), backward_fn)
 
@@ -285,7 +279,6 @@ class Conv2d(Module):
         wmat = self.weight.data.reshape(row, cout)
         stack_rows = math.prod(lead) * geom.windows
         pieces = max(1, -(-stack_rows * row * x.dtype.itemsize // _PIECE_BYTES))
-        MADD_COUNTER.add(stack_rows * row * cout)
 
         inner, view = padded_windows(lead, cin, geom, x.dtype)
         inner[...] = x.data
@@ -294,8 +287,8 @@ class Conv2d(Module):
         for a in range(0, h, band):
             rows = min(band, h - a)
             stack = np.ascontiguousarray(view[..., a : a + rows, :, 0, :, :, :])
-            out[..., a : a + rows, :, :] = (
-                stack.reshape(*lead, rows * w, row) @ wmat).reshape(*lead, rows, w, cout)
+            out[..., a : a + rows, :, :] = ops._gemm(
+                stack.reshape(*lead, rows * w, row), wmat).reshape(*lead, rows, w, cout)
         out += self.bias.data
         xdata, weight_shape, needs_gx = x.data, self.weight.shape, x.requires_grad
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import statistics
 import sys
 import time
@@ -50,8 +51,8 @@ def _resolve_config(value: str) -> ModelConfig:
     if path.exists():
         try:
             return ModelConfig.from_json(path.read_text())
-        except (ContractError, GeometryError, ShapeError, TypeError,
-                json.JSONDecodeError) as exc:
+        except (ContractError, GeometryError, ShapeError, TypeError, OSError,
+                UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise click.UsageError(f"bad config file {value}: {exc}") from exc
     raise click.UsageError(
         f"{value!r} is neither a preset ({', '.join(PRESETS)}) nor an existing JSON file"
@@ -70,6 +71,16 @@ def _finite(ctx, param, value: float) -> float:
     """Option callback: NaN and ±inf pass click's float ranges, so reject them here."""
     if not np.isfinite(value):
         raise click.BadParameter(f"must be a finite number, got {value}")
+    return value
+
+
+def _writable(ctx, param, value: str | None) -> str | None:
+    """Option callback: an output path must lie in an existing, writable directory."""
+    if value not in (None, "-"):
+        folder = Path(value).parent
+        if not (folder.is_dir() and os.access(folder, os.W_OK)):
+            raise click.BadParameter(
+                f"cannot write {value}: {folder} is not a writable directory")
     return value
 
 
@@ -180,7 +191,8 @@ def gradcheck(seeds: int, tolerance: float, kinds: str, as_json: bool) -> None:
 @click.option("--kernel", type=int, default=3, show_default=True)
 @click.option("--heads", type=int, default=6, show_default=True)
 @click.option("--reps", type=click.IntRange(min=1), default=5, show_default=True)
-@click.option("--csv", "csv_path", default=None,
+@click.option("--csv", "csv_path", default=None, callback=_writable,
+              type=click.Path(dir_okay=False, allow_dash=True),
               help="Write rows as CSV to this path ('-' for stdout).")
 def bench(kinds: str, sizes: str, channels: int, kernel: int, heads: int,
           reps: int, csv_path: str | None) -> None:
@@ -301,7 +313,8 @@ def train_toy_cmd(config_name: str, steps: int, lr: float, batch_size: int,
 
 
 @main.command(name="gen-data")
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
+@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False),
+              callback=_writable)
 @click.option("--classes", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--size", type=click.IntRange(min=1), default=32, show_default=True)
 @click.option("--per-class", type=click.IntRange(min=1), default=8, show_default=True)

@@ -8,10 +8,9 @@ Shape checks are strict: elementwise ops require identical shapes, batched
 dtype; float32 is never silently promoted to float64.  Scalar constants are
 plain python floats so float32 data stays float32.
 
-Only ``matmul`` and ``linear`` feed the multiply-add counter: a matmul of
-(m, k) @ (k, n) adds exactly m*k*n (times the batch size), a linear adds
-(#tokens)*Cin*Cout.  Softmax, normalization, and elementwise work are
-excluded from counting on purpose.
+Every forward GEMM in the package goes through ``_gemm``, the one place that
+adds to the multiply-add counter; softmax, normalization, elementwise work
+and backward GEMMs are not counted.
 """
 
 from __future__ import annotations
@@ -47,10 +46,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul operands do not align: {a.shape} @ {b.shape}")
     _same_dtype("matmul", a, b)
-    data = a.data @ b.data
-    m, k = int(a.shape[-2]), int(a.shape[-1])
-    n = int(b.shape[-1])
-    MADD_COUNTER.add(math.prod(a.shape[:-2]) * m * k * n)
+    data = _gemm(a.data, b.data)
 
     def backward_fn(g):
         return (g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g)
@@ -72,10 +68,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear bias shape {b.shape} does not match weight {w.shape}")
     _same_dtype("linear", x, w, *(() if b is None else (b,)))
     cin, cout = int(w.shape[0]), int(w.shape[1])
-    data = x.data @ w.data
+    data = _gemm(x.data, w.data)
     if b is not None:
         np.add(data, b.data, out=data)
-    MADD_COUNTER.add(math.prod(x.shape[:-1]) * cin * cout)
 
     def backward_fn(g):
         gx = g @ w.data.T
@@ -216,6 +211,13 @@ def _row_max(d: np.ndarray) -> np.ndarray:
     for i in range(1, n):
         np.maximum(m, d[..., i : i + 1], out=m)
     return m
+
+
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, booking its out.size * k multiply-adds on ``MADD_COUNTER``."""
+    out = a @ b
+    MADD_COUNTER.add(out.size * a.shape[-1])
+    return out
 
 
 def _softmax_array(d: np.ndarray) -> np.ndarray:

@@ -15,9 +15,9 @@ closure and the activations it holds, is dropped once it has run, and each
 intermediate gradient as soon as its node has consumed it.  Only leaf
 gradients are returned.
 
-Only the GEMMs (``ops.matmul``, ``ops.linear``, ``attention.Conv2d`` and outlook
-attention's window product) feed ``MADD_COUNTER``; like the tape stack it is
-per thread, so threads never count each other's work.
+``MADD_COUNTER`` is fed only by ``ops._gemm``, through which every forward
+GEMM goes; like the tape stack it is per thread, so threads never count
+each other's work.
 """
 
 from __future__ import annotations
@@ -225,8 +225,7 @@ class MAddCounter(threading.local):
     """Per-thread accumulator of multiply-add counts.
 
     Each thread sees only its own total, which starts at 0 and is monotone
-    non-decreasing.  Only the matmul, linear, conv and outlook-attention GEMMs
-    add to it; softmax, normalization, and elementwise work do not.
+    non-decreasing.  Only ``ops._gemm``, the forward GEMM, adds to it.
     """
 
     _total = 0

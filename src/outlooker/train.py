@@ -50,10 +50,10 @@ def gen_synthetic(
         templates[c] = (acc - acc.mean()) / acc.std()
 
     total = num_classes * per_class
-    images = np.empty((total, size, size, 3), dtype=np.float32)
     labels = np.repeat(np.arange(num_classes), per_class).astype(np.int64)
-    for i, c in enumerate(labels):
-        images[i] = templates[c] + noise * rng.standard_normal((size, size, 3))
+    noisy = noise * rng.standard_normal((num_classes, per_class, size, size, 3))
+    noisy += templates[:, None]
+    images = noisy.reshape(total, size, size, 3).astype(np.float32)
     order = rng.permutation(total)
     return images[order], labels[order]
 

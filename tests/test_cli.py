@@ -210,10 +210,21 @@ class TestGenData:
     ["gen-data", "--noise", "inf"],
     ["gen-data", "--noise", "-1"],
     ["gen-data", "--seed", "-1"],
+    ["gen-data", "--out", "{tmp}/missing/toy.npz"],
+    ["bench", "--kinds", "conv", "--sizes", "4x4", "--channels", "4", "--heads", "1",
+     "--reps", "1", "--csv", "{tmp}/missing/rows.csv"],
+    ["bench", "--kinds", "conv", "--sizes", "4x4", "--channels", "4", "--heads", "1",
+     "--reps", "1", "--csv", "{tmp}"],
+    ["inspect", "--config", "{tmp}"],
+    ["inspect", "--config", "{tmp}/noise.bin"],
 ], ids="_".join)
 def test_input_that_cannot_run_is_usage_error(runner, args, tmp_path):
+    # "{tmp}" is tmp_path, which holds a file that is not UTF-8; gen-data gets
+    # a good --out first, so a case's own --out, given later, wins
+    (tmp_path / "noise.bin").write_bytes(bytes(range(256)))
     if args[0] == "gen-data":
-        args = [*args, "--out", str(tmp_path / "toy.npz")]
+        args = [args[0], "--out", str(tmp_path / "toy.npz"), *args[1:]]
+    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
 

@@ -18,6 +18,7 @@ from outlooker import (
     count_params,
     count_params_config,
     cross_entropy,
+    ops,
     patchify,
 )
 from outlooker.errors import ContractError, ShapeError
@@ -123,6 +124,30 @@ class TestAnalyticMadds:
         start = MADD_COUNTER.total
         model.forward(images)
         assert MADD_COUNTER.total - start == analytic_madds(config)
+
+    def test_only_forward_gemms_book_multiply_adds(self, monkeypatch):
+        # every booking goes through ops._gemm, and backward books nothing: a
+        # taped batch-2 step moves the counter by the forward GEMMs alone
+        booked = []
+        gemm = ops._gemm
+
+        def recording(a, b):
+            out = gemm(a, b)
+            booked.append(out.size * a.shape[-1])
+            return out
+
+        monkeypatch.setattr(ops, "_gemm", recording)
+        config = PRESETS["tiny"]
+        model = build_model(config, seed=0)
+        rng = np.random.default_rng(1)
+        images = Tensor(rng.standard_normal((2, config.image_size, config.image_size, 3)),
+                        dtype=np.float32)
+        start = MADD_COUNTER.total
+        with Tape() as tape:
+            logits = model.forward(images, training=True, rng=rng)
+            loss = cross_entropy(logits, np.array([3, 7]))
+        backward(loss, tape)
+        assert MADD_COUNTER.total - start == sum(booked) == 2 * analytic_madds(config)
 
     def test_resolution_must_be_multiple_of_16(self):
         with pytest.raises(ShapeError):

@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Bit-for-bit fingerprints of the model's numbers, as sha256 digests.
+
+Run from the repository root, which holds ``src/outlooker``:
+
+    python3 tools/fingerprints.py > fingerprints.json
+
+It takes no options.  BLAS runs on one thread, so the digests depend only on
+the code and the machine; compare two commits by running this on each, on
+one machine, and diffing the output.  It prints one sorted JSON object:
+
+* ``d1_logits``: a d1 forward at seed 0 on one 224² image;
+* ``d1_named_params``: the name, shape and values of every d1 parameter;
+* ``d1_analytic_madds``: ``analytic_madds(PRESETS["d1"], 224)``;
+* ``tiny_b8_grads`` and ``d1_b2_grads``: every parameter gradient of one
+  taped training step of tiny at batch 8 and of d1 at batch 2;
+* ``toy_trace``: the loss trace of ``train_toy(steps=500, seed=0)``.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+# BLAS and OpenMP runtimes read these once, when numpy loads them.
+for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+            "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[var] = "1"
+
+import hashlib  # noqa: E402
+import json  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from outlooker import PRESETS, Tape, Tensor, analytic_madds, backward, build_model  # noqa: E402
+from outlooker.train import cross_entropy, train_toy  # noqa: E402
+
+SEED = 0
+
+
+def digest(named_arrays) -> str:
+    """sha256 over each (name, array)'s name, dtype, shape and bytes, in order."""
+    h = hashlib.sha256()
+    for name, arr in named_arrays:
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{name}|{arr.dtype.str}|{arr.shape}|".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def images(config, batch: int) -> tuple[Tensor, np.ndarray]:
+    rng = np.random.default_rng(SEED)
+    shape = (batch, config.image_size, config.image_size, 3)
+    data = Tensor(rng.standard_normal(shape).astype(np.float32))
+    return data, rng.integers(0, config.num_classes, size=batch)
+
+
+def step_grads(preset: str, batch: int) -> str:
+    """Digest of every parameter gradient of one taped step with stochastic depth."""
+    model = build_model(PRESETS[preset], seed=SEED)
+    x, labels = images(model.config, batch)
+    with Tape() as tape:
+        logits = model.forward(x, training=True, rng=np.random.default_rng(SEED + 1))
+        loss = cross_entropy(logits, labels)
+    grads = backward(loss, tape)
+    return digest((name, grads[p]) for name, p in model.named_params())
+
+
+def main() -> None:
+    d1 = build_model(PRESETS["d1"], seed=SEED)
+    out = {
+        "d1_logits": digest([("logits", d1.forward(images(d1.config, 1)[0]).data)]),
+        "d1_named_params": digest((name, p.data) for name, p in d1.named_params()),
+        "d1_analytic_madds": digest([("madds", np.int64(analytic_madds(PRESETS["d1"], 224)))]),
+        "tiny_b8_grads": step_grads("tiny", 8),
+        "d1_b2_grads": step_grads("d1", 2),
+        "toy_trace": digest([("losses", np.array(train_toy(steps=500, seed=SEED).losses))]),
+    }
+    print(json.dumps(out, indent=2, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()
