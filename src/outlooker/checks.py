@@ -65,12 +65,15 @@ def oracle_check(
 
     Each (kind, seed) case draws its own geometry (height/width in 3..8,
     channels <= 16, kernel in {1, 3, 5}), builds the layer in float64, and
-    checks the full forward output elementwise.
+    checks the full forward output elementwise.  A case is seeded by its
+    kind's place in ``ORACLE_KINDS``, so a run over a subset of ``kinds``
+    checks the same cases as the full run does for those kinds.
     """
     report = OracleReport(tolerance=tolerance)
-    for ki, kind in enumerate(kinds):
-        if kind not in _ORACLE_FNS:
+    for kind in kinds:
+        if kind not in ORACLE_KINDS:
             raise ContractError(f"unknown oracle kind {kind!r}; expected {ORACLE_KINDS}")
+        ki = ORACLE_KINDS.index(kind)
         for seed in range(seeds_per_kind):
             rng = np.random.default_rng([ki, seed])
             query = _random_query(rng)
@@ -140,10 +143,8 @@ def _gradcheck_setup(kind: str, rng: np.random.Generator):
         layer, shape = Conv2d(rng, 3, 3, 4, stride=2, dtype=np.float64), (4, 3, 3)
     elif kind == "oblock":
         layer, shape = OutlookerBlock(rng, 4, 2, 3, 1, 3.0, dtype=np.float64), (3, 3, 4)
-    elif kind == "tblock":
+    else:   # "tblock"
         layer, shape = TransformerBlock(rng, 4, 2, 3.0, dtype=np.float64), (6, 4)
-    else:
-        raise ContractError(f"unknown gradcheck kind {kind!r}; expected {GRADCHECK_KINDS}")
     x = leaf(2, *shape)
     return [x] + layer.parameters(), lambda: layer.forward(x)
 
@@ -161,9 +162,13 @@ def gradient_check(
     loss at h=1e-5 carry roundoff and truncation noise up to ~1e-9 absolute,
     so coordinates below the floor are effectively compared absolutely at
     the 1e-9 scale (floor × tolerance) instead of drowning in that noise.
+    Cases are seeded by kind, as in ``oracle_check``.
     """
     report = OracleReport(tolerance=tolerance)
-    for ki, kind in enumerate(kinds):
+    for kind in kinds:
+        if kind not in GRADCHECK_KINDS:
+            raise ContractError(f"unknown gradcheck kind {kind!r}; expected {GRADCHECK_KINDS}")
+        ki = GRADCHECK_KINDS.index(kind)
         for seed in range(seeds_per_kind):
             rng = np.random.default_rng([97 + ki, seed])
             tensors, rebuild = _gradcheck_setup(kind, rng)

@@ -162,7 +162,8 @@ def inspect(config_name: str, resolution: int | None, allocate: bool, as_json: b
 @main.command(name="oracle-check")
 @click.option("--seeds", type=click.IntRange(min=1), default=20, show_default=True,
               help="Seeds per layer kind.")
-@click.option("--tolerance", type=click.FloatRange(min=0), default=1e-6, show_default=True)
+@click.option("--tolerance", type=click.FloatRange(min=0), default=1e-6, show_default=True,
+              callback=_finite)
 @click.option("--kinds", default=",".join(ORACLE_KINDS), show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def oracle_check_cmd(seeds: int, tolerance: float, kinds: str, as_json: bool) -> None:
@@ -174,7 +175,8 @@ def oracle_check_cmd(seeds: int, tolerance: float, kinds: str, as_json: bool) ->
 @main.command()
 @click.option("--seeds", type=click.IntRange(min=1), default=10, show_default=True,
               help="Seeds per op/layer kind.")
-@click.option("--tolerance", type=click.FloatRange(min=0), default=1e-4, show_default=True)
+@click.option("--tolerance", type=click.FloatRange(min=0), default=1e-4, show_default=True,
+              callback=_finite)
 @click.option("--kinds", default=",".join(GRADCHECK_KINDS), show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def gradcheck(seeds: int, tolerance: float, kinds: str, as_json: bool) -> None:
@@ -325,7 +327,8 @@ def gen_data(out_path: str, classes: int, size: int, per_class: int,
              noise: float, seed: int) -> None:
     """Write the synthetic classification set to an .npz file."""
     images, labels = gen_synthetic(classes, size, per_class, noise, seed)
-    np.savez(out_path, images=images, labels=labels)
+    with open(out_path, "wb") as f:   # a file handle, so savez adds no .npz suffix
+        np.savez(f, images=images, labels=labels)
     click.echo(f"wrote {images.shape[0]} images ({size}x{size}x3, "
                f"{classes} classes) to {out_path}")
 

@@ -234,18 +234,26 @@ def _softmax_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
     return s * (g - dot)
 
 
+def _check_rows(op: str, x: Tensor) -> None:
+    """A row to normalize is the last axis, so it must exist and be non-empty."""
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise ShapeError(f"{op} needs a non-empty last axis, got shape {x.shape}")
+
+
 def softmax(x: Tensor) -> Tensor:
     """Exponential normalization along the last axis; each row sums to one.
 
     Computed as exp(x - max)/sum for overflow safety; ``-inf`` entries (used
     for masking) receive exactly zero weight.
     """
+    _check_rows("softmax", x)
     s = _softmax_array(x.data)
     return from_op(s, (x,), lambda g: (_softmax_grad(s, g),))
 
 
 def log_softmax(x: Tensor) -> Tensor:
     """Log of softmax along the last axis, computed stably as (x - max) - log(sum(exp))."""
+    _check_rows("log_softmax", x)
     z = x.data - np.max(x.data, axis=-1, keepdims=True)
     out = z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
 

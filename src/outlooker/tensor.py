@@ -1,12 +1,13 @@
 """Tensors, the gradient tape, and the multiply-add counter.
 
-The autodiff model is a classic Wengert list: while a ``Tape`` is active,
-every primitive records a node holding a closure that maps the output
-gradient to input gradients, the key of the tensor it produced, and for each
-input the key and shape of the node on this tape that produced it, the input
-itself when it is a leaf (a parameter or an input), or nothing when it needs
-no gradient.  A node holds no intermediate ``Tensor``, so an activation stays
-alive only while some backward closure reads it.  ``backward`` pops the list
+The autodiff model is a classic Wengert list.  Every tensor gets a key at
+birth, from one process-wide counter, and keeps it for life.  While a
+``Tape`` is active, every primitive records a node holding a closure that
+maps the output gradient to input gradients, the key of the tensor it
+produced, and for each input its key and shape, or nothing when it needs no
+gradient.  Nodes hold keys only, never a ``Tensor``, so an activation stays
+alive only while some backward closure reads it; the tape keeps each leaf (a
+parameter or an input) once, beside its nodes.  ``backward`` pops the list
 from the end.  Recording order is a topological order of the computation (an
 input must exist before an op can consume it), so the reverse replay is an
 exact reverse topological order and each node's output gradient is complete
@@ -33,6 +34,10 @@ from .errors import ContractError
 SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 DEFAULT_DTYPE = np.float32
 
+# One process-wide source of tensor keys: unique across tapes and threads, and,
+# unlike id(), never reused after the tensor it names has died.
+_KEYS = itertools.count()
+
 
 class Tensor:
     """A contiguous n-d float array, flagged when gradients should reach it.
@@ -56,7 +61,7 @@ class Tensor:
             )
         self.data = np.require(arr, requirements="C")   # keeps rank 0, unlike ascontiguousarray
         self.requires_grad = bool(requires_grad)
-        self._key: int | None = None   # the producing node's key while taped
+        self._key = next(_KEYS)   # fixed at birth; names this tensor on every tape
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -85,14 +90,9 @@ class Tensor:
 
 
 BackwardFn = Callable[[np.ndarray], Sequence["np.ndarray | None"]]
-# What a node keeps of one input: None (no gradient), (key, shape) of a tensor
-# this tape produced, or the leaf Tensor itself.
-NodeInput = "None | tuple[int, tuple[int, ...]] | Tensor"
+# What a node keeps of one input: None (no gradient) or its (key, shape).
+NodeInput = "None | tuple[int, tuple[int, ...]]"
 Node = tuple[tuple[NodeInput, ...], int, BackwardFn]
-
-# One process-wide source of node keys: unique across tapes and threads, and,
-# unlike id(), never reused after the tensor it names has died.
-_NODE_KEYS = itertools.count()
 
 
 class Tape:
@@ -101,13 +101,14 @@ class Tape:
     A tape is single-threaded: enter it as a context manager, run the forward
     computation inside, then call ``backward(loss, tape)``, which empties it.
     Each node holds its backward closure, its output's key and, per input,
-    ``None``, a ``(key, shape)`` pair or a leaf ``Tensor``; the set of keys the
-    tape produced tells an intermediate input from a leaf.
+    ``None`` or a ``(key, shape)`` pair.  A requires_grad input whose key the
+    tape did not produce is a leaf, kept once in ``_leaves`` under its key.
     """
 
     def __init__(self):
         self._nodes: list[Node] = []
         self._produced: set[int] = set()
+        self._leaves: dict[int, Tensor] = {}
 
     def __enter__(self) -> "Tape":
         _TAPES.stack.append(self)
@@ -121,22 +122,19 @@ class Tape:
         return False
 
     def record(self, inputs: Sequence[Tensor], output: Tensor, backward_fn: BackwardFn) -> None:
-        """Append one node and give ``output`` a fresh key.
+        """Append one node producing ``output``.
 
-        An input this tape produced is kept as its key and shape, so the node
-        does not keep its array alive; a requires_grad input it did not
-        produce is a leaf and is kept as the tensor; any other input as None.
+        A requires_grad input is kept as its key and shape, so the node keeps
+        no array alive, and any other input as None.  A requires_grad input
+        this tape did not produce is also kept, once, in ``_leaves``.
         """
-        produced = self._produced
-        refs = tuple(
-            None if not t.requires_grad
-            else (t._key, t.shape) if t._key in produced
-            else t
-            for t in inputs
-        )
-        key = output._key = next(_NODE_KEYS)
-        produced.add(key)
-        self._nodes.append((refs, key, backward_fn))
+        produced, leaves = self._produced, self._leaves
+        refs = tuple((t._key, t.shape) if t.requires_grad else None for t in inputs)
+        for t in inputs:
+            if t.requires_grad and t._key not in produced:
+                leaves.setdefault(t._key, t)
+        produced.add(output._key)
+        self._nodes.append((refs, output._key, backward_fn))
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -176,8 +174,7 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
     A leaf is a requires_grad input of a recorded node that no node on the
     tape produced: a parameter or an input.  Returns a map from every leaf to
     its gradient (zeros if the loss does not depend on it); intermediate
-    tensors are not keys.  Intermediate gradients are keyed by node key, leaf
-    gradients by the leaf.  The replay consumes the tape, so ``len(tape)`` is
+    tensors are not keys.  The replay consumes the tape, so ``len(tape)`` is
     0 afterwards.  Raises ``ContractError`` for a non-scalar loss and for a
     loss no node on the tape produced (including a second call on the same
     tape).
@@ -186,18 +183,14 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
         raise ContractError(f"loss must be a Tensor, got {type(loss).__name__}")
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
-    if loss._key is None or loss._key not in tape._produced:
+    if loss._key not in tape._produced:
         raise ContractError("loss was not recorded on this tape (or the tape was consumed)")
-    nodes = tape._nodes
-    tape._produced = set()
+    nodes, leaves = tape._nodes, tape._leaves
+    tape._produced, tape._leaves = set(), {}
 
-    grads: dict[int | Tensor, np.ndarray] = {loss._key: np.ones_like(loss.data)}
-    leaves: dict[Tensor, None] = {}     # insertion-ordered set
+    grads: dict[int, np.ndarray] = {loss._key: np.ones_like(loss.data)}
     while nodes:
         refs, key, backward_fn = nodes.pop()
-        for ref in refs:
-            if isinstance(ref, Tensor):
-                leaves[ref] = None
         out_grad = grads.pop(key, None)
         if out_grad is None:
             continue
@@ -210,7 +203,7 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
         for ref, g in zip(refs, in_grads):
             if g is None or ref is None:
                 continue
-            slot, shape = (ref, ref.shape) if isinstance(ref, Tensor) else ref
+            slot, shape = ref
             if g.shape != shape:
                 raise ContractError(
                     f"gradient shape {g.shape} does not match tensor shape {shape}"
@@ -218,7 +211,7 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
             acc = grads.get(slot)
             grads[slot] = g if acc is None else acc + g
 
-    return {t: grads[t] if t in grads else np.zeros_like(t.data) for t in leaves}
+    return {t: grads[k] if k in grads else np.zeros_like(t.data) for k, t in leaves.items()}
 
 
 class MAddCounter(threading.local):

@@ -179,13 +179,28 @@ class TestGenData:
             assert blob["images"].shape == (6, 16, 16, 3)
             assert blob["labels"].shape == (6,)
 
+    def test_writes_exactly_the_path_given(self, runner, tmp_path):
+        out = tmp_path / "toyfile"
+        result = runner.invoke(main, [
+            "gen-data", "--out", str(out), "--classes", "2", "--size", "16",
+            "--per-class", "1",
+        ])
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["toyfile"]
+        with np.load(out) as blob:
+            assert blob["labels"].shape == (2,)
+
 
 @pytest.mark.parametrize("args", [
     ["inspect", "--config", "tiny", "--resolution", "-16"],
     ["oracle-check", "--seeds", "0"],
     ["oracle-check", "--tolerance", "-1"],
+    ["oracle-check", "--tolerance", "nan"],
+    ["oracle-check", "--tolerance", "inf"],
     ["gradcheck", "--seeds", "0"],
     ["gradcheck", "--tolerance", "-1"],
+    ["gradcheck", "--tolerance", "nan"],
+    ["gradcheck", "--tolerance", "inf"],
     ["bench", "--channels", "12", "--heads", "5"],
     ["bench", "--kernel", "4"],
     ["bench", "--reps", "0"],

@@ -188,6 +188,12 @@ class TestSoftmax:
         np.testing.assert_allclose(np.exp(ops.log_softmax(x).data),
                                    ops.softmax(x).data, rtol=1e-12)
 
+    @pytest.mark.parametrize("op", [ops.softmax, ops.log_softmax])
+    @pytest.mark.parametrize("shape", [(), (3, 0)], ids=["rank0", "empty_row"])
+    def test_rejects_input_without_a_row(self, op, shape):
+        with pytest.raises(ShapeError, match="non-empty last axis"):
+            op(Tensor(np.zeros(shape)))
+
 
 class TestLayerNorm:
     def test_frozen_pair_normalizes_to_unit(self):

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from outlooker import (
+    GRADCHECK_KINDS,
+    ORACLE_KINDS,
     OracleCase,
     OracleReport,
     WindowGeometry,
@@ -23,6 +25,7 @@ from outlooker import (
 )
 from outlooker import checks
 from outlooker import oracle as oracle_module
+from outlooker.errors import ContractError
 
 
 class TestOracleIndependence:
@@ -127,6 +130,23 @@ class TestSuites:
         report = oracle_check(seeds_per_kind=3)
         assert report.passed
         assert len(report.cases) == 15
+
+    def test_a_subset_run_checks_the_full_runs_cases(self):
+        # cases are seeded by kind, so a failure a full run reports can be
+        # replayed with that one kind
+        full = oracle_check(seeds_per_kind=2).cases
+        for kind in ORACLE_KINDS:
+            want = [c for c in full if c.name.split()[0] == kind]
+            assert oracle_check(seeds_per_kind=2, kinds=(kind,)).cases == want
+        full = gradient_check(seeds_per_kind=1).cases
+        for kind in ("sa", GRADCHECK_KINDS[-1]):
+            want = [c for c in full if c.name == kind]
+            assert gradient_check(seeds_per_kind=1, kinds=(kind,)).cases == want
+
+    @pytest.mark.parametrize("suite", [oracle_check, gradient_check])
+    def test_unknown_kind_raises(self, suite):
+        with pytest.raises(ContractError, match="unknown"):
+            suite(1, kinds=("nope",))
 
     def test_gradient_suite_smoke(self):
         report = gradient_check(seeds_per_kind=1, kinds=("softmax", "windows", "sa"))

@@ -10,11 +10,14 @@ import pytest
 
 from outlooker import (
     MADD_COUNTER,
+    PRESETS,
     MAddCounter,
     OutlookAttention,
     Tape,
     Tensor,
     backward,
+    build_model,
+    cross_entropy,
     trunc_normal,
 )
 from outlooker import ops
@@ -183,6 +186,29 @@ class TestTapeRetention:
             assert len(tape) == 2
             grads = backward(ops.sum_all(ops.mul(s, s)), tape)
         assert grads[x].shape == (3, 4)
+
+    def test_nodes_hold_keys_and_the_tape_holds_each_leaf_once(self, rng):
+        model = build_model(PRESETS["tiny"], seed=0)
+        params = model.parameters()
+        keys = [p._key for p in params]
+        x = Tensor(rng.standard_normal((2, 32, 32, 3)).astype(np.float32))
+        with Tape() as tape:
+            logits = model.forward(x, training=True, rng=np.random.default_rng(0))
+            born = logits._key
+            cross_entropy(logits, np.array([3, 7]))
+        for refs, key, _ in tape._nodes:
+            assert isinstance(key, int)
+            for ref in refs:
+                assert ref is None or (
+                    isinstance(ref, tuple) and len(ref) == 2
+                    and isinstance(ref[0], int) and isinstance(ref[1], tuple)
+                ), ref
+        # a key is fixed at birth: recording a tensor, as output or input, keeps it
+        assert logits._key == born and [p._key for p in params] == keys
+        assert born in {key for _, key, _ in tape._nodes}
+        assert len(tape._leaves) == len(params)
+        for p in params:
+            assert tape._leaves[p._key] is p
 
     @pytest.mark.parametrize("op, want", [
         (lambda t: ops.reshape(t, (12,)), np.full((3, 4), 0.5)),

@@ -14,6 +14,12 @@ one machine, and diffing the output.  It prints one sorted JSON object:
 * ``d1_analytic_madds``: ``analytic_madds(PRESETS["d1"], 224)``;
 * ``tiny_b8_grads`` and ``d1_b2_grads``: every parameter gradient of one
   taped training step of tiny at batch 8 and of d1 at batch 2;
+* ``tiny_lsa_b8_grads`` and ``tiny_conv_b8_grads``: the same tiny batch-8
+  step with local self-attention (the one user of the tensor-level
+  ``windows.unfold``) or convolution as the stage-1 mixer;
+* ``oa_layer``: the output and input gradient of ``OutlookAttention`` at
+  stride 1 and at stride 2, on the shapes and seed of perfbench's
+  ``oa-layer`` workload (d1's stage-1 layer on a 56² map);
 * ``toy_trace``: the loss trace of ``train_toy(steps=500, seed=0)``.
 """
 
@@ -27,6 +33,7 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ[var] = "1"
 
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -35,7 +42,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from outlooker import PRESETS, Tape, Tensor, analytic_madds, backward, build_model  # noqa: E402
+from outlooker import (  # noqa: E402
+    PRESETS,
+    OutlookAttention,
+    Tape,
+    Tensor,
+    analytic_madds,
+    backward,
+    build_model,
+    ops,
+)
 from outlooker.train import cross_entropy, train_toy  # noqa: E402
 
 SEED = 0
@@ -58,9 +74,9 @@ def images(config, batch: int) -> tuple[Tensor, np.ndarray]:
     return data, rng.integers(0, config.num_classes, size=batch)
 
 
-def step_grads(preset: str, batch: int) -> str:
+def step_grads(config, batch: int) -> str:
     """Digest of every parameter gradient of one taped step with stochastic depth."""
-    model = build_model(PRESETS[preset], seed=SEED)
+    model = build_model(config, seed=SEED)
     x, labels = images(model.config, batch)
     with Tape() as tape:
         logits = model.forward(x, training=True, rng=np.random.default_rng(SEED + 1))
@@ -69,14 +85,37 @@ def step_grads(preset: str, batch: int) -> str:
     return digest((name, grads[p]) for name, p in model.named_params())
 
 
+def oa_layer() -> str:
+    """Digest of outlook attention's output and input gradient at strides 1 and 2."""
+    config = PRESETS["d1"]
+    channels = config.stage1_dim
+    rng = np.random.default_rng(SEED + 1)
+    shape = (56, 56, channels)
+    x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+    cotangent = Tensor(rng.standard_normal(shape).astype(np.float32))
+    named = []
+    for stride in (1, 2):
+        layer = OutlookAttention(np.random.default_rng(SEED), channels,
+                                 config.outlooker_heads, config.kernel, stride=stride)
+        with Tape() as tape:
+            out = layer(x)
+            loss = ops.sum_all(ops.mul(out, cotangent))
+        named += [(f"out_s{stride}", out.data), (f"dx_s{stride}", backward(loss, tape)[x])]
+    return digest(named)
+
+
 def main() -> None:
     d1 = build_model(PRESETS["d1"], seed=SEED)
+    tiny = PRESETS["tiny"]
     out = {
         "d1_logits": digest([("logits", d1.forward(images(d1.config, 1)[0]).data)]),
         "d1_named_params": digest((name, p.data) for name, p in d1.named_params()),
         "d1_analytic_madds": digest([("madds", np.int64(analytic_madds(PRESETS["d1"], 224)))]),
-        "tiny_b8_grads": step_grads("tiny", 8),
-        "d1_b2_grads": step_grads("d1", 2),
+        "tiny_b8_grads": step_grads(tiny, 8),
+        "tiny_lsa_b8_grads": step_grads(dataclasses.replace(tiny, stage1_kind="lsa"), 8),
+        "tiny_conv_b8_grads": step_grads(dataclasses.replace(tiny, stage1_kind="conv"), 8),
+        "d1_b2_grads": step_grads(PRESETS["d1"], 2),
+        "oa_layer": oa_layer(),
         "toy_trace": digest([("losses", np.array(train_toy(steps=500, seed=SEED).losses))]),
     }
     print(json.dumps(out, indent=2, sort_keys=True))
