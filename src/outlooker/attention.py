@@ -19,10 +19,13 @@ from the attended ones, and ``mix`` attends over flat lists, heads laid out
 as (..., heads, L, C/heads) via ``split_heads``/``merge_heads``.  The window
 layers make no head copies: they unfold straight into the head-major (...,
 windows, heads, K², C/heads) stack of ``windows``.  ``OutlookAttention``
-mixes its value stack and folds it back from that layout in one tape node,
-which unfolds the values again in backward rather than keep the stack; the
-local ``mix`` multiplies its key stack by each token's one query, (K², dh) @
-(dh, 1), and its value stack by the masked softmax of those scores.
+mixes its values and folds them back from that layout in one tape node,
+which walks the window grid in bands of whole window rows, last band
+first, so neither pass holds the K²-wide stack; each window's product keeps
+its shape and each token's terms are added in the whole-grid fold's order,
+so the bands change no bit.  The local ``mix`` multiplies its key stack by
+each token's one query, (K², dh) @ (dh, 1), and its value stack by the
+masked softmax of those scores.
 
 ``_cost`` gives each layer kind's (parameters, multiply-adds) at stride 1 and
 ``madds`` its multiply-add half; ``measured_madds`` runs the instrumented
@@ -41,17 +44,17 @@ from .errors import ShapeError
 from .tensor import MADD_COUNTER, Tensor, from_op, trunc_normal
 from .windows import (
     WindowGeometry,
+    _fold_band,
+    _unfold_band,
     check_heads,
     check_window,
-    fold_array,
     in_bounds_mask,
     padded_windows,
     unfold,
-    unfold_array,
 )
 
 INIT_STD = 0.02
-_PIECE_BYTES = 1 << 20     # largest band of windows the Conv2d forward copies
+_PIECE_BYTES = 1 << 20     # largest band of windows one pass copies
 
 
 def _param(rng, shape, dtype) -> Tensor:
@@ -179,23 +182,48 @@ def _outlook_core(logits: Tensor, values: Tensor, geom: WindowGeometry, heads: i
 
     ``logits``: (..., h, w, N·K⁴) as the logit projection makes them, read as
     (..., windows, N, K², K²); ``values``: (..., H, W, C) → (..., H, W, C).
-    The node keeps ``values`` and the softmax output, not the K²-wide value
-    stack.  Its backward makes the numpy calls of the four-op composition:
-    the value gradient ``fold(sᵀ @ gm)`` first, freed before ``values`` is
-    unfolded again for ``gm @ stackᵀ``, then the softmax backward.
+    The node keeps ``values`` and the softmax output.  Neither pass holds the
+    K²-wide value stack: both walk the window grid in bands of whole window
+    rows, each band's stack at most ``_PIECE_BYTES`` (or one window row, if
+    that is larger).  Per band, the forward
+    unfolds the values, multiplies them by the band's softmax rows and folds
+    the product onto the output; the backward unfolds the incoming gradient
+    (``gm``), folds ``sᵀ @ gm`` onto the value gradient, unfolds the values
+    again for ``gm @ stackᵀ`` and writes the band's softmax backward.
+
+    The bands run from the last window row to the first.  A later window row
+    reaches a token through a smaller slot row, so every token's terms are
+    added in ``fold_array``'s slot order from the same zero; and each
+    window's product keeps its (K², K²) @ (K², C/N) shape, since a band only
+    changes how many of them one call covers.  So every number is the one
+    the whole-stack composition gives, at any band count.
     """
     k2 = geom.kernel * geom.kernel
+    *lead, _, _, channels = values.shape
+    h, w = geom.out_height, geom.out_width
     logits_shape = logits.shape
-    s = ops._softmax_array(logits.data.reshape(*logits_shape[:-3], geom.windows, heads, k2, k2))
-    out = fold_array(ops._gemm(s, unfold_array(values.data, geom, heads)), geom, heads)
+    s = ops._softmax_array(logits.data.reshape(*lead, geom.windows, heads, k2, k2))
+    band = max(1, _PIECE_BYTES // (math.prod(lead) * w * k2 * channels * values.dtype.itemsize))
+    bands = [slice(a, min(a + band, h)) for a in reversed(range(0, h, band))]  # last first
+
+    def cut(rows):                  # the band's windows on the window axis
+        return (..., slice(rows.start * w, rows.stop * w), slice(None), slice(None), slice(None))
+
     vdata = values.data
+    out = np.zeros(vdata.shape, dtype=vdata.dtype)
+    for rows in bands:
+        _fold_band(out, ops._gemm(s[cut(rows)], _unfold_band(vdata, geom, heads, rows)),
+                   geom, rows)
 
     def backward_fn(g):
-        gm = unfold_array(g, geom, heads)
-        gv = fold_array(s.swapaxes(-1, -2) @ gm, geom, heads)
-        gs = gm @ unfold_array(vdata, geom, heads).swapaxes(-1, -2)
-        del gm             # freed before the softmax backward
-        return (ops._softmax_grad(s, gs).reshape(logits_shape), gv)
+        gv, gs = np.zeros(vdata.shape, dtype=vdata.dtype), np.empty_like(s)
+        for rows in bands:
+            sb, gm = s[cut(rows)], _unfold_band(g, geom, heads, rows)
+            _fold_band(gv, sb.swapaxes(-1, -2) @ gm, geom, rows)
+            # the values' stack is a temporary, freed before the softmax backward
+            gs[cut(rows)] = ops._softmax_grad(
+                sb, gm @ _unfold_band(vdata, geom, heads, rows).swapaxes(-1, -2))
+        return (gs.reshape(logits_shape), gv)
 
     return from_op(out, (logits, values), backward_fn)
 

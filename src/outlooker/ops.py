@@ -122,7 +122,8 @@ def expand(x: Tensor, batch: int) -> Tensor:
 
     The backward sums the gradient over the new axis.
     """
-    batch = int(batch)
+    if not isinstance(batch, (int, np.integer)) or isinstance(batch, bool):
+        raise ShapeError(f"expand batch must be an int, got {batch!r}")
     if batch < 1:
         raise ShapeError(f"expand batch must be >= 1, got {batch}")
     data = np.broadcast_to(x.data, (batch, *x.shape))
@@ -274,6 +275,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         raise ShapeError(
             f"layer_norm shapes do not align: x {x.shape}, gamma {gamma.shape}, beta {beta.shape}"
         )
+    _check_rows("layer_norm", x)
     _same_dtype("layer_norm", x, gamma, beta)
     mu = x.data.mean(axis=-1, keepdims=True)
     xhat = x.data - mu                 # centred here, normalized in place below

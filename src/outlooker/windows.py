@@ -14,16 +14,20 @@ attention multiplies: head ``n`` of a slot holds channels n·C/N to
 (n + 1)·C/N of its token.  ``heads`` defaults to 1, which gives one
 (K², C) block per window, read by a convolution as one K²·C row.
 
-``padded_windows`` decides that layout: it allocates the zero-padded map and
-returns its interior and one strided view of its windows, shaped
-(..., h, w, N, K, K, C/N) with no copy: the view splits the channels as
-(N, C/N) and puts the head axis before the window slots.  ``unfold`` is one
-contiguous copy of that view, and ``fold`` scatter-adds each slot back
-through it; ``Conv2d`` copies and scatters through the same view a piece at
-a time, so it never holds the whole stack.  ``fold`` is the exact linear
-adjoint of ``unfold``: ⟨unfold(x), y⟩ = ⟨x, fold(y)⟩, which is also how the
-two ops provide each other's backward.  Only odd kernels are supported: an
-even window has no center token.
+One strided view decides that layout: over a zero-padded map it shapes the
+windows (..., h, w, N, K, K, C/N) with no copy, splitting the channels as
+(N, C/N) and putting the head axis before the window slots.
+``padded_windows`` allocates a whole padded map and returns its interior and
+that view; ``Conv2d`` copies and scatters through it a piece at a time.
+The array kernels work on a band of window rows, so a caller can walk the
+grid without holding the whole stack, as outlook attention's window core
+does: ``_unfold_band`` copies a band's windows out of a padded slab of only
+the map rows they read, and ``_fold_band`` scatter-adds a band's stack rows
+onto an unpadded map slot by slot, skipping the windows whose slot lands
+in the padding.  ``unfold_array`` and ``fold_array`` are their whole-grid case.
+``fold`` is the exact linear adjoint of ``unfold``: ⟨unfold(x), y⟩ =
+⟨x, fold(y)⟩, which is also how the two ops provide each other's backward.
+Only odd kernels are supported: an even window has no center token.
 """
 
 from __future__ import annotations
@@ -86,6 +90,19 @@ class WindowGeometry:
         return self.out_height * self.out_width
 
 
+def _window_view(padded: np.ndarray, geom: WindowGeometry, heads: int) -> np.ndarray:
+    """Every window of a zero-padded (..., rows, W + 2p, C) map, with no copy.
+
+    Shaped (..., h', w, N, K, K, C/N): window row a starts at the map's row
+    a·s, and h' = (rows − K) // s + 1 window rows fit.
+    """
+    *lead, rows, _, channels = padded.shape
+    *lead_strides, row, col, chan = padded.strides
+    k, s, cn = geom.kernel, geom.stride, channels // heads
+    shape = (*lead, (rows - k) // s + 1, geom.out_width, heads, k, k, cn)
+    return as_strided(padded, shape, (*lead_strides, s * row, s * col, cn * chan, row, col, chan))
+
+
 def padded_windows(lead: Sequence[int], channels: int, geom: WindowGeometry, dtype,
                    heads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """A zeroed padded map, as two writeable views of its one buffer.
@@ -95,33 +112,69 @@ def padded_windows(lead: Sequence[int], channels: int, geom: WindowGeometry, dty
     starts at padded row a·s, column b·s; its last row is at most
     s·(⌈H/s⌉ − 1) + K − 1 ≤ H + K − 2, inside the H + K − 1 padded rows.
     """
-    k, s, p = geom.kernel, geom.stride, geom.padding
+    p = geom.padding
     padded = np.zeros((*lead, geom.height + 2 * p, geom.width + 2 * p, channels), dtype=dtype)
-    *lead_strides, row, col, chan = padded.strides
-    cn = channels // heads
-    shape = (*lead, geom.out_height, geom.out_width, heads, k, k, cn)
-    view = as_strided(padded, shape, (*lead_strides, s * row, s * col, cn * chan, row, col, chan))
+    view = _window_view(padded, geom, heads)
     return padded[..., p : p + geom.height, p : p + geom.width, :], view
+
+
+def _unfold_band(x: np.ndarray, geom: WindowGeometry, heads: int, rows: slice) -> np.ndarray:
+    """The windows of window rows ``rows``: (..., H, W, C) → (..., rows·w, N, K², C/N).
+
+    They are copied out of a zero-padded slab of only the map rows they read.
+    """
+    *lead, height, width, channels = x.shape
+    k, s, p, n = geom.kernel, geom.stride, geom.padding, rows.stop - rows.start
+    top = rows.start * s - p                    # the slab's first row, as a map row
+    slab = np.zeros((*lead, (n - 1) * s + k, width + 2 * p, channels), dtype=x.dtype)
+    lo, hi = max(top, 0), min(top + slab.shape[-3], height)
+    slab[..., lo - top : hi - top, p : p + width, :] = x[..., lo:hi, :, :]
+    stack = np.ascontiguousarray(_window_view(slab, geom, heads))
+    return stack.reshape(*lead, n * geom.out_width, heads, k * k, channels // heads)
+
+
+def _fold_band(acc: np.ndarray, y: np.ndarray, geom: WindowGeometry, rows: slice) -> None:
+    """Scatter-add the stack rows ``y`` of window rows ``rows`` onto the map ``acc``.
+
+    ``acc``: a C-contiguous (..., H, W, C) map, added to in place; ``y``:
+    (..., rows·w, N, K², C/N).  Each slot adds, in one in-place pass, the
+    windows whose slot lands inside the map (one slot's windows never
+    overlap), and the slots go in row-major order.  A later window row
+    reaches a token through a smaller slot row, so folding bands from the
+    last window row to the first adds every token's terms in the order of
+    one whole-grid fold.
+    """
+    *lead, height, width, _ = acc.shape
+    k, s, p = geom.kernel, geom.stride, geom.padding
+    heads, cn = y.shape[-3], y.shape[-1]
+    acc = acc.reshape(*lead, height, width, heads, cn)
+    grid = y.reshape(*lead, -1, geom.out_width, heads, k, k, cn)
+
+    def span(d, lo, hi, extent):
+        # windows lo..hi-1 whose offset d lands in [0, extent), and the tokens it lands on
+        first = max(lo, -(-(p - d) // s))
+        count = max(0, min(hi, (extent - 1 - d + p) // s + 1) - first)
+        start = first * s + d - p
+        return slice(first - lo, first - lo + count), slice(start, start + count * s, s)
+
+    row_spans = [span(d, rows.start, rows.stop, height) for d in range(k)]
+    col_spans = [span(d, 0, geom.out_width, width) for d in range(k)]
+    for dp, dq in np.ndindex(k, k):
+        (ai, ri), (bi, ci) = row_spans[dp], col_spans[dq]
+        acc[..., ri, ci, :, :] += grid[..., ai, bi, :, dp, dq, :]
 
 
 def unfold_array(x: np.ndarray, geom: WindowGeometry, heads: int = 1) -> np.ndarray:
     """Forward kernel on a raw array: (..., H, W, C) → (..., windows, N, K², C/N)."""
-    *lead, _, _, channels = x.shape
-    inner, view = padded_windows(lead, channels, geom, x.dtype, heads)
-    inner[...] = x
-    out = np.ascontiguousarray(view)
-    return out.reshape(*lead, geom.windows, heads, geom.kernel * geom.kernel, channels // heads)
+    return _unfold_band(x, geom, heads, slice(0, geom.out_height))
 
 
 def fold_array(y: np.ndarray, geom: WindowGeometry, heads: int = 1) -> np.ndarray:
     """Adjoint kernel on a raw array: (..., windows, N, K², C/N) → (..., H, W, C)."""
-    k = geom.kernel
     *lead, _, _, _, cn = y.shape
-    grid = y.reshape(*lead, geom.out_height, geom.out_width, heads, k, k, cn)
-    inner, view = padded_windows(lead, heads * cn, geom, y.dtype, heads)
-    for dp, dq in np.ndindex(k, k):     # one slot at a time: its windows never overlap
-        view[..., dp, dq, :] += grid[..., dp, dq, :]
-    return np.ascontiguousarray(inner)
+    out = np.zeros((*lead, geom.height, geom.width, heads * cn), dtype=y.dtype)
+    _fold_band(out, y, geom, slice(0, geom.out_height))
+    return out
 
 
 def _check_map(x: Tensor, geom: WindowGeometry, heads: int) -> None:

@@ -28,7 +28,14 @@ from outlooker import (
     unfold,
     unfold_array,
 )
-from outlooker.attention import LAYER_KINDS, _cost, _oa_cost, merge_heads, split_heads
+from outlooker.attention import (
+    _PIECE_BYTES,
+    LAYER_KINDS,
+    _cost,
+    _oa_cost,
+    merge_heads,
+    split_heads,
+)
 from outlooker.errors import GeometryError, ShapeError
 
 
@@ -161,55 +168,108 @@ class TestConvTapeNode:
 
 
 class TestOutlookHeadMajor:
-    @pytest.mark.parametrize("stride, want_nodes", [(1, 6), (2, 7)])
-    def test_bit_equal_to_split_merge_composition(self, rng, stride, want_nodes):
-        # the layer unfolds values head-major and folds back from that layout;
-        # the reference splits the heads out of a one-head stack, reshaped to
-        # (windows, K², C), and merges them back
-        layer = OutlookAttention(np.random.default_rng(3), 12, 3, 3, stride=stride)
+    @pytest.mark.parametrize("lead, size, channels, heads, kernel, stride, want_bands", [
+        pytest.param((2,), (9, 10), 12, 3, 3, 1, 1, id="1-6"),
+        pytest.param((2,), (9, 10), 12, 3, 3, 2, 1, id="2-7"),
+        # bands of 7 window rows; the last band (walked first) has 5
+        pytest.param((2,), (40, 41), 48, 3, 3, 1, 6, id="s1-short-last-band"),
+        pytest.param((), (64, 60), 48, 3, 5, 1, 22, id="s1-k5-unbatched"),
+        pytest.param((2,), (60, 50), 48, 6, 3, 2, 3, id="s2-batched"),
+        pytest.param((3, 2), (30, 31), 48, 3, 5, 2, 8, id="s2-k5-two-leading-axes"),
+        pytest.param((2,), (45, 44), 96, 3, 3, 3, 2, id="s3"),
+        pytest.param((3, 2), (30, 31), 48, 3, 5, 3, 4, id="s3-k5-two-leading-axes"),
+    ])
+    def test_bit_equal_to_split_merge_composition(self, rng, lead, size, channels, heads,
+                                                  kernel, stride, want_bands):
+        # the layer walks its window core in bands of window rows, last band
+        # first; the reference unfolds the whole one-head stack, reshaped to
+        # (windows, K², C), splits the heads out of it and merges them back
+        layer = OutlookAttention(np.random.default_rng(3), channels, heads, kernel,
+                                 stride=stride)
         layer.b_a.data[...] = rng.standard_normal(layer.b_a.shape)
-        x = Tensor(rng.standard_normal((2, 9, 10, 12)), dtype=np.float32, requires_grad=True)
-        probe = Tensor(rng.standard_normal((2, 9, 10, 12)), dtype=np.float32)
-        geom = WindowGeometry(9, 10, 3, stride)
+        shape = (*lead, *size, channels)
+        x = Tensor(rng.standard_normal(shape), dtype=np.float32, requires_grad=True)
+        probe = Tensor(rng.standard_normal(shape), dtype=np.float32)
+        geom = WindowGeometry(*size, kernel, stride)
+        k2 = kernel * kernel
+        row_bytes = math.prod(lead) * geom.out_width * k2 * channels * 4
+        assert -(-geom.out_height // max(1, _PIECE_BYTES // row_bytes)) == want_bands
 
         def composed(t):
-            plain = ops.reshape(unfold(ops.linear(t, layer.w_v), geom), (2, geom.windows, 9, 12))
-            stack = split_heads(plain, 3)
+            plain = ops.reshape(unfold(ops.linear(t, layer.w_v), geom),
+                                (*lead, geom.windows, k2, channels))
+            stack = split_heads(plain, heads)
             logits = ops.linear(ops.avg_pool(t, stride), layer.w_a, layer.b_a)
-            attn = ops.softmax(ops.reshape(logits, (2, geom.windows, 3, 9, 9)))
-            mixed = ops.reshape(merge_heads(ops.matmul(attn, stack)), (2, geom.windows, 1, 9, 12))
+            attn = ops.softmax(ops.reshape(logits, (*lead, geom.windows, heads, k2, k2)))
+            mixed = ops.reshape(merge_heads(ops.matmul(attn, stack)),
+                                (*lead, geom.windows, 1, k2, channels))
             return ops.linear(fold(mixed, geom), layer.w_o, layer.b_o)
 
         def run(forward):
+            start = MADD_COUNTER.total
             with Tape() as tape:
                 out = forward(x)
                 loss = ops.sum_all(ops.mul(out, probe))
                 nodes = len(tape)
+            counted = MADD_COUNTER.total - start
             grads = backward(loss, tape)
-            return out.data, [grads[t] for t in (x, *layer.parameters())], nodes
+            return out.data, [grads[t] for t in (x, *layer.parameters())], nodes, counted
 
-        out, grads, nodes = run(layer.forward)
-        want_out, want_grads, want_nodes_composed = run(composed)
-        assert (nodes, want_nodes_composed) == (want_nodes, want_nodes + 10)
+        out, grads, nodes, counted = run(layer.forward)
+        want_out, want_grads, want_nodes, want_counted = run(composed)
+        assert (nodes, want_nodes) == ((6, 16) if stride == 1 else (7, 17))
+        assert counted == want_counted
         np.testing.assert_array_equal(out, want_out)
         for got, want in zip(grads, want_grads):
             assert got.dtype == np.float32
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_core_keeps_no_value_stack(self, rng, stride):
+    def test_no_pass_allocates_the_whole_window_stack(self, rng):
+        # K = 5 and one head: the K²-wide stack outweighs the N·K⁴-wide
+        # logits and softmax, which every pass holds
+        layer = OutlookAttention(np.random.default_rng(3), 384, 1, 5)
+        x = Tensor(rng.standard_normal((2, 24, 24, 384)), dtype=np.float32,
+                   requires_grad=True)
+        stack_bytes = 2 * 24 * 24 * 25 * 384 * 4      # 44.2 MB
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                out = layer(x)
+                forward_peak = tracemalloc.get_traced_memory()[1] - start
+                loss = ops.sum_all(out)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            grads = backward(loss, tape)
+            backward_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert grads[x].shape == x.shape
+        assert forward_peak < stack_bytes / 2
+        assert backward_peak < stack_bytes / 2
+
+    @pytest.mark.parametrize("stride, size, channels, heads", [
+        pytest.param(1, 24, 96, 3, id="1"),
+        pytest.param(2, 24, 96, 3, id="2"),
+        # d1's stage-1 layer at batch 2: three bands at stride 2
+        pytest.param(2, 28, 192, 6, id="2-d1-batch2"),
+    ])
+    def test_core_keeps_no_value_stack(self, rng, stride, size, channels, heads):
         # the layer's window core is one node holding the values and the
         # softmax output; the public-op chain's matmul also holds the K²-wide
         # value stack
-        layer = OutlookAttention(np.random.default_rng(3), 96, 3, 3, stride=stride)
-        x = Tensor(rng.standard_normal((2, 24, 24, 96)), dtype=np.float32, requires_grad=True)
-        geom = WindowGeometry(24, 24, 3, stride)
+        layer = OutlookAttention(np.random.default_rng(3), channels, heads, 3, stride=stride)
+        x = Tensor(rng.standard_normal((2, size, size, channels)), dtype=np.float32,
+                   requires_grad=True)
+        geom = WindowGeometry(size, size, 3, stride)
+        stack_bytes = 2 * geom.windows * 9 * channels * 4
 
         def composed(t):
-            stack = unfold(ops.linear(t, layer.w_v), geom, 3)
+            stack = unfold(ops.linear(t, layer.w_v), geom, heads)
             logits = ops.linear(ops.avg_pool(t, stride), layer.w_a, layer.b_a)
-            attn = ops.softmax(ops.reshape(logits, (2, geom.windows, 3, 9, 9)))
-            return ops.linear(fold(ops.matmul(attn, stack), geom, 3), layer.w_o, layer.b_o)
+            attn = ops.softmax(ops.reshape(logits, (2, geom.windows, heads, 9, 9)))
+            return ops.linear(fold(ops.matmul(attn, stack), geom, heads), layer.w_o, layer.b_o)
 
         def measure(forward):
             tracemalloc.start()
@@ -228,10 +288,11 @@ class TestOutlookHeadMajor:
         retained, peak, grads = measure(layer.forward)
         want_retained, want_peak, want_grads = measure(composed)
         assert retained < want_retained
-        if stride == 1:
-            # at stride 2 the stack is only about (K/2)² maps wide, while the
-            # backward holds the values and the incoming gradient as it
-            # unfolds the values again, so there its peak is about one map higher
+        if stack_bytes > _PIECE_BYTES:
+            # a stack within one band (0.995 MB at stride 2 on the 24² map)
+            # is walked whole: the backward then holds the gradient's and the
+            # values' stacks at once, and peaks about two maps above the
+            # chain, which holds the stack in place of the values
             assert peak <= want_peak
         for got, want in zip(grads, want_grads):
             np.testing.assert_array_equal(got, want)

@@ -275,16 +275,20 @@ def _zeros(*shape) -> Tensor:
     lambda: ops.linear(_zeros(2, 3), _zeros(4, 2)),
     lambda: ops.linear(_zeros(2, 3), _zeros(3, 2), _zeros(3)),
     lambda: ops.expand(_zeros(2), 0),
+    lambda: ops.expand(_zeros(2), 2.5),
+    lambda: ops.expand(_zeros(2), True),
     lambda: ops.permute(_zeros(2, 3), (0, 0)),
     lambda: ops.concat([]),
     lambda: ops.narrow(_zeros(2, 3), 2, 0, 1),
     lambda: ops.narrow(_zeros(2, 3), 1, 2, 2),
     lambda: ops.layer_norm(_zeros(2, 3), _zeros(4), _zeros(3)),
+    lambda: ops.layer_norm(_zeros(3, 0), _zeros(0), _zeros(0)),
     lambda: ops.avg_pool(_zeros(2, 2, 3), 0),
     lambda: ops.avg_pool(_zeros(2, 3), 2),
 ], ids=["matmul_rank1", "linear_rank3_weight", "linear_misaligned", "linear_bias_shape",
-        "expand_zero", "permute_bad_axes", "concat_empty", "narrow_bad_axis",
-        "narrow_bad_range", "layer_norm_gamma", "avg_pool_stride_zero", "avg_pool_rank2"])
+        "expand_zero", "expand_float", "expand_bool", "permute_bad_axes", "concat_empty",
+        "narrow_bad_axis", "narrow_bad_range", "layer_norm_gamma", "layer_norm_empty_row",
+        "avg_pool_stride_zero", "avg_pool_rank2"])
 def test_shape_contract_violation_raises(call):
     with pytest.raises(ShapeError):
         call()

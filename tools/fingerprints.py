@@ -17,9 +17,10 @@ one machine, and diffing the output.  It prints one sorted JSON object:
 * ``tiny_lsa_b8_grads`` and ``tiny_conv_b8_grads``: the same tiny batch-8
   step with local self-attention (the one user of the tensor-level
   ``windows.unfold``) or convolution as the stage-1 mixer;
-* ``oa_layer``: the output and input gradient of ``OutlookAttention`` at
-  stride 1 and at stride 2, on the shapes and seed of perfbench's
-  ``oa-layer`` workload (d1's stage-1 layer on a 56² map);
+* ``oa_layer``: the output, the input gradient and every parameter
+  gradient (``w_v``, ``w_a``, ``b_a``, ``w_o``, ``b_o``) of
+  ``OutlookAttention`` at stride 1 and at stride 2, on the shapes and seed
+  of perfbench's ``oa-layer`` workload (d1's stage-1 layer on a 56² map);
 * ``toy_trace``: the loss trace of ``train_toy(steps=500, seed=0)``.
 """
 
@@ -86,7 +87,7 @@ def step_grads(config, batch: int) -> str:
 
 
 def oa_layer() -> str:
-    """Digest of outlook attention's output and input gradient at strides 1 and 2."""
+    """Digest of outlook attention's output and every gradient at strides 1 and 2."""
     config = PRESETS["d1"]
     channels = config.stage1_dim
     rng = np.random.default_rng(SEED + 1)
@@ -100,7 +101,9 @@ def oa_layer() -> str:
         with Tape() as tape:
             out = layer(x)
             loss = ops.sum_all(ops.mul(out, cotangent))
-        named += [(f"out_s{stride}", out.data), (f"dx_s{stride}", backward(loss, tape)[x])]
+        grads = backward(loss, tape)
+        named += [(f"out_s{stride}", out.data), (f"dx_s{stride}", grads[x])]
+        named += [(f"{name}_s{stride}", grads[p]) for name, p in layer.named_params()]
     return digest(named)
 
 
