@@ -177,6 +177,11 @@ class OutlookAttention(Module):
     __call__ = forward
 
 
+def _row_bands(h: int, rows: int) -> list[slice]:
+    """Bands of ``rows`` window rows over ``h`` window rows, last band first."""
+    return [slice(a, min(a + rows, h)) for a in reversed(range(0, h, rows))]
+
+
 def _outlook_core(logits: Tensor, values: Tensor, geom: WindowGeometry, heads: int) -> Tensor:
     """Algorithm 1's window step, fold(softmax(logits) @ unfold(values)), as one tape node.
 
@@ -184,12 +189,14 @@ def _outlook_core(logits: Tensor, values: Tensor, geom: WindowGeometry, heads: i
     (..., windows, N, K², K²); ``values``: (..., H, W, C) → (..., H, W, C).
     The node keeps ``values`` and the softmax output.  Neither pass holds the
     K²-wide value stack: both walk the window grid in bands of whole window
-    rows, each band's stack at most ``_PIECE_BYTES`` (or one window row, if
-    that is larger).  Per band, the forward
+    rows, each forward band's stack at most ``_PIECE_BYTES`` (or one window
+    row, if that is larger).  Per band, the forward
     unfolds the values, multiplies them by the band's softmax rows and folds
     the product onto the output; the backward unfolds the incoming gradient
     (``gm``), folds ``sᵀ @ gm`` onto the value gradient, unfolds the values
-    again for ``gm @ stackᵀ`` and writes the band's softmax backward.
+    again for ``gm @ stackᵀ`` and writes the band's softmax backward.  The
+    backward holds two stacks at once, so its bands have half the forward's
+    window rows.
 
     The bands run from the last window row to the first.  A later window row
     reaches a token through a smaller slot row, so every token's terms are
@@ -203,21 +210,21 @@ def _outlook_core(logits: Tensor, values: Tensor, geom: WindowGeometry, heads: i
     h, w = geom.out_height, geom.out_width
     logits_shape = logits.shape
     s = ops._softmax_array(logits.data.reshape(*lead, geom.windows, heads, k2, k2))
-    band = max(1, _PIECE_BYTES // (math.prod(lead) * w * k2 * channels * values.dtype.itemsize))
-    bands = [slice(a, min(a + band, h)) for a in reversed(range(0, h, band))]  # last first
+    row_bytes = math.prod(lead) * w * k2 * channels * values.dtype.itemsize
+    band = min(h, max(1, _PIECE_BYTES // row_bytes))     # the forward's window rows
 
     def cut(rows):                  # the band's windows on the window axis
         return (..., slice(rows.start * w, rows.stop * w), slice(None), slice(None), slice(None))
 
     vdata = values.data
     out = np.zeros(vdata.shape, dtype=vdata.dtype)
-    for rows in bands:
+    for rows in _row_bands(h, band):
         _fold_band(out, ops._gemm(s[cut(rows)], _unfold_band(vdata, geom, heads, rows)),
                    geom, rows)
 
     def backward_fn(g):
         gv, gs = np.zeros(vdata.shape, dtype=vdata.dtype), np.empty_like(s)
-        for rows in bands:
+        for rows in _row_bands(h, max(1, band // 2)):
             sb, gm = s[cut(rows)], _unfold_band(g, geom, heads, rows)
             _fold_band(gv, sb.swapaxes(-1, -2) @ gm, geom, rows)
             # the values' stack is a temporary, freed before the softmax backward

@@ -27,6 +27,14 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SHORT_ROW = 16     # longest softmax row whose max is taken column by column
 _LN_EPS = 1e-5      # added to the LayerNorm variance
+_GELU_BLOCK_BYTES = 1 << 18    # per GELU scratch buffer: 65,536 float32 values
+# Eigen's generic_fast_erf_float: erf(z) = z·P(z²) / Q(z²) on |z| <= 4,
+# coefficients from the highest power down
+_ERF32_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+            -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+            -1.60960333262415e-02)
+_ERF32_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+            -7.37332916720468e-03, -1.42647390514189e-02)
 
 
 def _same_dtype(op: str, *tensors: Tensor) -> None:
@@ -303,18 +311,73 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return from_op(out, (x, gamma, beta), backward_fn)
 
 
+def _horner(z2: np.ndarray, coeffs, out: np.ndarray) -> None:
+    """The polynomial with ``coeffs`` (highest power first) at ``z2``, into ``out``."""
+    np.multiply(z2, coeffs[0], out=out)
+    np.add(out, coeffs[1], out=out)
+    for c in coeffs[2:]:
+        np.multiply(out, z2, out=out)
+        np.add(out, c, out=out)
+
+
+def _rational_erf(z: np.ndarray, t: np.ndarray, u: np.ndarray) -> None:
+    """erf(z) in place by Eigen's ``generic_fast_erf_float``; ``t``, ``u`` are scratch.
+
+    z is clamped to [-4, 4], then erf(z) = z·P(z²) / Q(z²) is clipped to
+    [-1, 1].  In float32 it is within 5e-7 of the exact erf; NaN stays NaN.
+    """
+    # the method with a positional ``out`` skips np.clip's per-call keyword dict
+    z.clip(-4.0, 4.0, z)
+    np.multiply(z, z, out=t)
+    _horner(t, _ERF32_P, u)
+    np.multiply(u, z, out=u)
+    _horner(t, _ERF32_Q, z)
+    np.divide(u, z, out=z)
+    z.clip(-1.0, 1.0, z)
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian-error linear unit, exact erf form: x * Phi(x).
+    """Gaussian-error linear unit, exact erf form: x * Phi(x), Phi(x) = (1 + erf(x/√2)) / 2.
+
+    One pass over the flattened input in blocks of ``_GELU_BLOCK_BYTES``;
+    every step writes into the preallocated output or into one of three
+    block-sized scratch buffers.  The dtype picks the erf.  float64 uses
+    scipy's, in the operations of the whole-array expression, so its bits do
+    not depend on the block.  float32 uses ``_rational_erf``, a rational erf
+    on x/√2 clamped to [-4, 4], within 5e-7 of the exact erf and clipped to
+    [-1, 1], so 0 <= Phi <= 1.
 
     A recorded node keeps only the derivative Phi(x) + x * pdf(x), computed in
     the forward; an unrecorded call computes no derivative.
     """
-    d = x.data
-    phi = 0.5 * (1.0 + erf(d * _INV_SQRT2))
-    deriv = None
+    out, deriv = np.empty_like(x.data), None
     if x.requires_grad and active_tape() is not None:     # the node will be recorded
-        deriv = phi + d * (np.exp(-0.5 * d * d) * _INV_SQRT_2PI)
-    return from_op(d * phi, (x,), lambda g: (g * deriv,))
+        deriv = np.empty_like(x.data)
+    d, out_flat = x.data.reshape(-1), out.reshape(-1)
+    deriv_flat = None if deriv is None else deriv.reshape(-1)
+    rational = d.dtype == np.float32
+    block = max(1, min(d.size, _GELU_BLOCK_BYTES // d.itemsize))
+    phi_buf, t_buf, u_buf = (np.empty(block, dtype=d.dtype) for _ in range(3))
+    for start in range(0, d.size, block):
+        stop = min(start + block, d.size)
+        xb, n = d[start:stop], stop - start
+        phi, t = phi_buf[:n], t_buf[:n]
+        np.multiply(xb, _INV_SQRT2, out=phi)
+        if rational:
+            _rational_erf(phi, t, u_buf[:n])
+        else:
+            erf(phi, out=phi)
+        np.add(phi, 1.0, out=phi)
+        np.multiply(phi, 0.5, out=phi)
+        np.multiply(xb, phi, out=out_flat[start:stop])
+        if deriv is not None:                          # phi + x * exp(-x²/2) / √(2π)
+            np.multiply(xb, -0.5, out=t)
+            np.multiply(t, xb, out=t)
+            np.exp(t, out=t)
+            np.multiply(t, _INV_SQRT_2PI, out=t)
+            np.multiply(xb, t, out=t)
+            np.add(phi, t, out=deriv_flat[start:stop])
+    return from_op(out, (x,), lambda g: (g * deriv,))
 
 
 def sum_all(x: Tensor) -> Tensor:

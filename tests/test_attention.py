@@ -263,7 +263,6 @@ class TestOutlookHeadMajor:
         x = Tensor(rng.standard_normal((2, size, size, channels)), dtype=np.float32,
                    requires_grad=True)
         geom = WindowGeometry(size, size, 3, stride)
-        stack_bytes = 2 * geom.windows * 9 * channels * 4
 
         def composed(t):
             stack = unfold(ops.linear(t, layer.w_v), geom, heads)
@@ -288,12 +287,7 @@ class TestOutlookHeadMajor:
         retained, peak, grads = measure(layer.forward)
         want_retained, want_peak, want_grads = measure(composed)
         assert retained < want_retained
-        if stack_bytes > _PIECE_BYTES:
-            # a stack within one band (0.995 MB at stride 2 on the 24² map)
-            # is walked whole: the backward then holds the gradient's and the
-            # values' stacks at once, and peaks about two maps above the
-            # chain, which holds the stack in place of the values
-            assert peak <= want_peak
+        assert peak <= want_peak
         for got, want in zip(grads, want_grads):
             np.testing.assert_array_equal(got, want)
 

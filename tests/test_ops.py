@@ -1,6 +1,7 @@
 """Forward semantics of the differentiable ops (gradients live in checks)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,151 @@ class TestElementwise:
             assert out.dtype == np.float32
 
 
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+ERF32_BOUND = 5e-7     # |rational erf - exact erf| in float32, fixed before measuring
+
+
+def _phi32(d):
+    """The library's float32 Phi: (1 + erf(x/√2)) / 2 by its rational erf."""
+    z = np.array(d * _INV_SQRT2)          # an array even at rank 0
+    ops._rational_erf(z, np.empty_like(z), np.empty_like(z))
+    return 0.5 * (1.0 + z)
+
+
+def _phi64(d):
+    return 0.5 * (1.0 + special.erf(d * _INV_SQRT2))
+
+
+def _erf_form(d):
+    """GELU's output and derivative as whole-array expressions over scipy's erf."""
+    phi = _phi64(d)
+    return d * phi, phi + d * (np.exp(-0.5 * d * d) * _INV_SQRT_2PI)
+
+
+def _gelu_and_derivative(make_input):
+    """gelu of the tensor ``make_input()`` builds, and the derivative its node keeps."""
+    with Tape() as tape:
+        x = make_input()
+        y = ops.gelu(x)
+    (_, _, backward_fn) = tape._nodes[-1]
+    (deriv,) = backward_fn(np.ones(x.shape, dtype=x.dtype))
+    return x.data, y.data, deriv
+
+
+class TestGeluKernel:
+    def test_rational_erf_within_bound_of_float64(self):
+        # steps of 1e-5 over [-8, 8], and the floats around the clamp at ±4
+        z = np.linspace(-8, 8, 1_600_001, dtype=np.float32)
+        four = np.float32([4, -4])
+        z = np.concatenate([z, four, np.nextafter(four, 0), np.nextafter(four, 2 * four)])
+        e = z.copy()
+        ops._rational_erf(e, np.empty_like(z), np.empty_like(z))
+        assert e.dtype == np.float32
+        err = np.abs(e.astype(np.float64) - special.erf(z.astype(np.float64)))
+        assert err.max() <= ERF32_BOUND
+        assert np.array_equal(e[-6:-4], [1.0, -1.0])
+
+    def test_phi_within_unit_interval(self):
+        big = np.finfo(np.float32).max
+        x = np.concatenate([np.linspace(-12, 12, 240_001, dtype=np.float32),
+                            np.float32([big, -big, 1e30, -1e30])])
+        phi = _phi32(x)
+        assert phi.min() >= 0.0 and phi.max() <= 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sign_follows_input(self, dtype):
+        tiny = np.finfo(dtype).smallest_subnormal
+        x = np.concatenate([np.linspace(-12, 12, 240_001),
+                            [tiny, -tiny, 1e-30, -1e-30, 0.0, -0.0]]).astype(dtype)
+        y = ops.gelu(Tensor(x)).data
+        assert np.all((np.sign(y) == np.sign(x)) | (y == 0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_input_follows_erf_form(self, dtype):
+        x = np.array([np.inf, -np.inf, np.nan], dtype=dtype)
+        with np.errstate(invalid="ignore"):
+            got = ops.gelu(Tensor(x)).data
+            want = x * _phi64(x).astype(dtype)
+        np.testing.assert_array_equal(got, [np.inf, np.nan, np.nan])
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0, 2)])
+    def test_rank_zero_and_empty_inputs(self, rng, dtype, shape):
+        d = np.asarray(rng.standard_normal(shape), dtype=dtype)
+        x = Tensor(d, requires_grad=True)
+        with Tape() as tape:
+            y = ops.gelu(x)
+            loss = ops.sum_all(y)
+        got = backward(loss, tape)[x]
+        assert (y.shape, y.dtype, got.shape) == (shape, dtype, shape)
+        phi = _phi32(d) if dtype == np.float32 else _phi64(d)
+        np.testing.assert_array_equal(y.data, d * phi)
+
+
+class TestGeluBlocks:
+    # the library's block, over 196,625 values (float32: 3 blocks and a
+    # remainder; float64: 6 and a remainder), and a 4 KiB block over 1,085
+    CASES = [pytest.param(None, (5, 39325), id="library-block"),
+             pytest.param(4096, (5, 7, 31), id="4KiB-block")]
+    VIEWS = {
+        "contiguous": lambda t: t,
+        "expand": lambda t: ops.expand(t, 3),
+        "narrow": lambda t: ops.narrow(t, t.ndim - 1, 2, t.shape[-1] - 5),
+    }
+
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    @pytest.mark.parametrize("block_bytes, shape", CASES)
+    def test_float64_bit_equal_to_erf_form(self, rng, monkeypatch, view, block_bytes, shape):
+        if block_bytes is not None:
+            monkeypatch.setattr(ops, "_GELU_BLOCK_BYTES", block_bytes)
+        base = Tensor(rng.standard_normal(shape), dtype=np.float64, requires_grad=True)
+        d, out, deriv = _gelu_and_derivative(lambda: self.VIEWS[view](base))
+        want_out, want_deriv = _erf_form(d)
+        np.testing.assert_array_equal(out, want_out)
+        np.testing.assert_array_equal(deriv, want_deriv)
+
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    @pytest.mark.parametrize("block_bytes, shape", CASES)
+    def test_float32_bit_equal_to_unblocked_kernel(self, rng, monkeypatch, view, block_bytes,
+                                                   shape):
+        base = Tensor(rng.standard_normal(shape), dtype=np.float32, requires_grad=True)
+
+        def run(block):
+            monkeypatch.setattr(ops, "_GELU_BLOCK_BYTES", block)
+            return _gelu_and_derivative(lambda: self.VIEWS[view](base))
+
+        d, out, deriv = run(block_bytes or ops._GELU_BLOCK_BYTES)
+        _, want_out, want_deriv = run(d.nbytes)         # one block over the whole input
+        np.testing.assert_array_equal(out, want_out)
+        np.testing.assert_array_equal(deriv, want_deriv)
+        np.testing.assert_array_equal(out, d * _phi32(d))
+
+    def test_peak_is_output_and_block_scratch(self, rng):
+        # the stem's first GELU map; the old whole-array form held whole-map
+        # temporaries beside its output
+        d = rng.standard_normal((1, 112, 112, 64)).astype(np.float32)
+        x = Tensor(d, requires_grad=True)
+        scratch, slack = 3 * ops._GELU_BLOCK_BYTES, 16 * 1024
+
+        def peak(taped):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                if taped:
+                    with Tape():
+                        ops.gelu(x)
+                else:
+                    ops.gelu(x)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        assert peak(taped=False) <= d.nbytes + scratch + slack
+        assert peak(taped=True) <= 2 * d.nbytes + scratch + slack
+
+
 class TestGeluNode:
     def test_taped_node_keeps_only_its_derivative(self, rng):
         x = Tensor(rng.standard_normal((4, 6)), dtype=np.float32, requires_grad=True)
@@ -80,8 +226,9 @@ class TestGeluNode:
         with Tape() as tape:
             loss = ops.sum_all(ops.mul(ops.gelu(x), Tensor(g)))
         got = backward(loss, tape)[x]
-        phi = 0.5 * (1.0 + special.erf(d * (1.0 / math.sqrt(2.0))))
-        pdf = np.exp(-0.5 * d * d) * (1.0 / math.sqrt(2.0 * math.pi))
+        # float32 against the library's own Phi: its erf is the rational kernel
+        phi = _phi32(d) if dtype == np.float32 else _phi64(d)
+        pdf = np.exp(-0.5 * d * d) * _INV_SQRT_2PI
         want = g * (phi + d * pdf)
         assert got.dtype == dtype
         np.testing.assert_array_equal(got, want)

@@ -10,6 +10,8 @@ the code and the machine; compare two commits by running this on each, on
 one machine, and diffing the output.  It prints one sorted JSON object:
 
 * ``d1_logits``: a d1 forward at seed 0 on one 224² image;
+* ``d1_logits_f64``: the same forward by a float64 build of d1 at seed 0, the
+  reference perfbench's ``d1-infer-b1`` gate compares against;
 * ``d1_named_params``: the name, shape and values of every d1 parameter;
 * ``d1_analytic_madds``: ``analytic_madds(PRESETS["d1"], 224)``;
 * ``tiny_b8_grads`` and ``d1_b2_grads``: every parameter gradient of one
@@ -109,9 +111,13 @@ def oa_layer() -> str:
 
 def main() -> None:
     d1 = build_model(PRESETS["d1"], seed=SEED)
+    d1_f64 = build_model(PRESETS["d1"], seed=SEED, dtype=np.float64)
+    image = images(d1.config, 1)[0]
     tiny = PRESETS["tiny"]
     out = {
-        "d1_logits": digest([("logits", d1.forward(images(d1.config, 1)[0]).data)]),
+        "d1_logits": digest([("logits", d1.forward(image).data)]),
+        "d1_logits_f64": digest([("logits", d1_f64.forward(
+            Tensor(image.data, dtype=np.float64)).data)]),
         "d1_named_params": digest((name, p.data) for name, p in d1.named_params()),
         "d1_analytic_madds": digest([("madds", np.int64(analytic_madds(PRESETS["d1"], 224)))]),
         "tiny_b8_grads": step_grads(tiny, 8),
