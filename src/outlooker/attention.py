@@ -286,11 +286,13 @@ class Conv2d(Module):
 
     The node keeps the input and the weight; no pass builds the whole
     K²·Cin-wide window stack.  With ``pieces`` = ⌈stack bytes / ``_PIECE_BYTES``⌉,
-    the forward multiplies the windows of ⌈h/pieces⌉ output rows at a time by
-    the weight.  The backward takes the kernel rows in min(K, pieces) groups and
-    scatter-adds each group's input gradient in ``fold_array``'s slot order;
-    each weight-gradient element stays one sum over all windows.  So every
-    element is the same sum in the same order at any piece count.
+    the forward copies the windows of ⌈h/pieces⌉ output rows at a time out of
+    a padded slab of the rows they read (``_unfold_band``) and multiplies them
+    by the weight in one BLAS call.  The backward takes the kernel rows in
+    min(K, pieces) groups and scatter-adds each group's input gradient in
+    ``fold_array``'s slot order; each weight-gradient element stays one sum
+    over all windows.  So every element is the same sum in the same order at
+    any piece count.
     """
 
     def __init__(self, rng, kernel: int, cin: int, cout: int, stride: int = 1,
@@ -315,20 +317,16 @@ class Conv2d(Module):
         stack_rows = math.prod(lead) * geom.windows
         pieces = max(1, -(-stack_rows * row * x.dtype.itemsize // _PIECE_BYTES))
 
-        inner, view = padded_windows(lead, cin, geom, x.dtype)
-        inner[...] = x.data
         out = np.empty((*lead, h, w, cout), dtype=x.dtype)
         band = -(-h // pieces)
         for a in range(0, h, band):
-            rows = min(band, h - a)
-            stack = np.ascontiguousarray(view[..., a : a + rows, :, 0, :, :, :])
-            out[..., a : a + rows, :, :] = ops._gemm(
-                stack.reshape(*lead, rows * w, row), wmat).reshape(*lead, rows, w, cout)
+            rows = slice(a, min(a + band, h))
+            out[..., rows, :, :] = ops._gemm(
+                _unfold_band(x.data, geom, 1, rows).reshape(*lead, -1, w, row), wmat)
         out += self.bias.data
         xdata, weight_shape, needs_gx = x.data, self.weight.shape, x.requires_grad
 
         def backward_fn(g):
-            g = g.reshape(*lead, geom.windows, cout)
             g2 = g.reshape(-1, cout)
             inner, view = padded_windows(lead, cin, geom, xdata.dtype)
             inner[...] = xdata
@@ -340,7 +338,7 @@ class Conv2d(Module):
                 krows = min(group, k - dp)
                 lo, hi = dp * k * cin, (dp + krows) * k * cin
                 if needs_gx:
-                    part = (g @ wmat[lo:hi].T).reshape(*lead, h, w, krows, k, cin)
+                    part = (g2 @ wmat[lo:hi].T).reshape(*lead, h, w, krows, k, cin)
                     for i, dq in np.ndindex(krows, k):
                         gview[..., 0, dp + i, dq, :] += part[..., i, dq, :]
                     del part        # freed before the slab is copied

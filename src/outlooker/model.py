@@ -180,9 +180,14 @@ class Stem(Module):
         self.proj_b = _zeros(out_dim, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        t = ops.gelu(self.norm1(self.conv1(x)))
-        t = ops.gelu(self.norm2(self.conv2(t)))
-        t = ops.gelu(self.norm3(self.conv3(t)))
+        # ``t`` is rebound after every op, so each 112² map is dropped as soon
+        # as the next op has read it
+        t = x
+        for conv, norm in ((self.conv1, self.norm1), (self.conv2, self.norm2),
+                           (self.conv3, self.norm3)):
+            t = conv(t)
+            t = norm(t)
+            t = ops.gelu(t)
         t = patchify(t, STEM_PATCH)
         return ops.linear(t, self.proj_w, self.proj_b)
 

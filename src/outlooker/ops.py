@@ -10,7 +10,10 @@ plain python floats so float32 data stays float32.
 
 Every forward GEMM in the package goes through ``_gemm``, the one place that
 adds to the multiply-add counter; softmax, normalization, elementwise work
-and backward GEMMs are not counted.
+and backward GEMMs are not counted.  A product of a (..., k) array with a
+(k, n) matrix, forward (``_gemm``) or backward (``linear``'s input
+gradient), is one BLAS call over the flattened rows, not numpy's one call
+per leading index; the bits depend on how many rows one call covers.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .tensor import MADD_COUNTER, Tensor, active_tape, from_op
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_SHORT_ROW = 16     # longest softmax row whose max is taken column by column
+_SHORT_ROW = 16     # longest row whose max and sum are taken column by column
 _LN_EPS = 1e-5      # added to the LayerNorm variance
 _GELU_BLOCK_BYTES = 1 << 18    # per GELU scratch buffer: 65,536 float32 values
 # Eigen's generic_fast_erf_float: erf(z) = z·P(z²) / Q(z²) on |z| <= 4,
@@ -81,8 +84,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         np.add(data, b.data, out=data)
 
     def backward_fn(g):
-        gx = g @ w.data.T
         g2 = g.reshape(-1, cout)
+        gx = (g2 @ w.data.T).reshape(x.shape)
         gw = x.data.reshape(-1, cin).T @ g2
         if b is None:
             return (gx, gw)
@@ -222,10 +225,51 @@ def _row_max(d: np.ndarray) -> np.ndarray:
     return m
 
 
+def _row_sum(d: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, keepdims, with np.sum's bits.
+
+    On a short row np.sum's per-row overhead dominates, so the columns are
+    added whole, in the order of numpy's unrolled pairwise sum: below 8
+    columns one by one; from 8 to 16, eight running sums r0..r7 (r_j plus
+    column 8 + j when there are 16), then ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the remaining columns one at a time.  numpy adds each row's result
+    to the identity 0, which turns −0.0 into +0.0; so does this.
+    """
+    n = d.shape[-1]
+    if not 0 < n <= _SHORT_ROW:
+        return np.sum(d, axis=-1, keepdims=True)
+    cols = [d[..., i : i + 1] for i in range(n)]
+    if n < 8:
+        total = cols[0] + 0.0
+        for c in cols[1:]:
+            np.add(total, c, out=total)
+        return total
+    r = cols[:8] if n < 16 else [a + b for a, b in zip(cols[:8], cols[8:])]
+    total, t = r[0] + r[1], r[2] + r[3]
+    np.add(total, t, out=total)
+    u = r[6] + r[7]
+    np.add(r[4], r[5], out=t)
+    np.add(t, u, out=t)
+    np.add(total, t, out=total)
+    for c in cols[n - n % 8 :]:
+        np.add(total, c, out=total)
+    np.add(total, 0.0, out=total)
+    return total
+
+
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b``, booking its out.size * k multiply-adds on ``MADD_COUNTER``."""
-    out = a @ b
-    MADD_COUNTER.add(out.size * a.shape[-1])
+    """``a @ b``, booking its out.size * k multiply-adds on ``MADD_COUNTER``.
+
+    A (..., k) ``a`` times a (k, n) matrix ``b`` is one BLAS call over the
+    flattened (rows, k) rows, reshaped back to (..., n); numpy's matmul would
+    make one call per leading index.
+    """
+    k = a.shape[-1]
+    if b.ndim == 2 and a.ndim > 2:
+        out = (a.reshape(-1, k) @ b).reshape(*a.shape[:-1], b.shape[1])
+    else:
+        out = a @ b
+    MADD_COUNTER.add(out.size * k)
     return out
 
 
@@ -233,13 +277,13 @@ def _softmax_array(d: np.ndarray) -> np.ndarray:
     """Forward kernel of ``softmax`` on a raw array; returns a new array."""
     s = d - _row_max(d)
     np.exp(s, out=s)
-    np.divide(s, np.sum(s, axis=-1, keepdims=True), out=s)
+    np.divide(s, _row_sum(s), out=s)
     return s
 
 
 def _softmax_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Backward kernel of ``softmax``: the input gradient from its output ``s``."""
-    dot = np.sum(g * s, axis=-1, keepdims=True)
+    dot = _row_sum(g * s)
     return s * (g - dot)
 
 

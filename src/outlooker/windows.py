@@ -18,7 +18,8 @@ One strided view decides that layout: over a zero-padded map it shapes the
 windows (..., h, w, N, K, K, C/N) with no copy, splitting the channels as
 (N, C/N) and putting the head axis before the window slots.
 ``padded_windows`` allocates a whole padded map and returns its interior and
-that view; ``Conv2d`` copies and scatters through it a piece at a time.
+that view; ``Conv2d``'s backward copies and scatters through it a piece at a
+time.
 The array kernels work on a band of window rows, so a caller can walk the
 grid without holding the whole stack, as outlook attention's window core
 does: ``_unfold_band`` copies a band's windows out of a padded slab of only

@@ -166,6 +166,20 @@ class TestConvTapeNode:
         assert forward_peak < stack_bytes / 2
         assert backward_peak < stack_bytes / 2
 
+    def test_forward_holds_no_padded_copy(self, rng):
+        # the stem's 3×3 conv: each band's windows are copied from a slab of
+        # the rows they read; the loop may hold two bands' stacks and a slab
+        conv = Conv2d(np.random.default_rng(3), 3, 64, 64)
+        x = Tensor(rng.standard_normal((1, 112, 112, 64)), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = conv(x)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.data.nbytes + 2.5 * _PIECE_BYTES
+
 
 class TestOutlookHeadMajor:
     @pytest.mark.parametrize("lead, size, channels, heads, kernel, stride, want_bands", [

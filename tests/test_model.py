@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,23 @@ class TestStem:
         stem = Stem(np.random.default_rng(0), 16)
         out = stem(Tensor(np.zeros((64, 64, 3), dtype=np.float32)))
         assert out.shape == (8, 8, 16)
+
+    def test_untaped_forward_drops_each_map_once_read(self, rng):
+        # a LayerNorm holds its input, a centred copy and its output; nothing
+        # else of the 112² maps may stay alive beside them
+        config = PRESETS["d1"]
+        stem = Stem(np.random.default_rng(0), config.stage1_dim)
+        size = config.image_size
+        x = Tensor(rng.standard_normal((1, size, size, 3)), dtype=np.float32)
+        stem_map = (size // 2) ** 2 * 64 * 4
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            stem(x)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2 * stem_map
 
 
 class TestForward:

@@ -40,6 +40,26 @@ class TestMatmulLinear:
         ops.linear(x, w, b)
         assert MADD_COUNTER.total - start == 28_901_376
 
+    def test_linear_bits_do_not_depend_on_leading_axes(self, rng):
+        # one BLAS call over the flattened rows, forward and backward: numpy's
+        # matmul on the (8, 16, 16, 64) map would make one call per 16 rows
+        x = rng.standard_normal((8, 16, 16, 64)).astype(np.float32)
+        w = Tensor(rng.standard_normal((64, 48)), dtype=np.float32, requires_grad=True)
+        b = Tensor(rng.standard_normal(48), dtype=np.float32, requires_grad=True)
+        probe = rng.standard_normal((8, 16, 16, 48)).astype(np.float32)
+
+        def run(shape):
+            xt = Tensor(x.reshape(*shape, 64), requires_grad=True)
+            with Tape() as tape:
+                out = ops.linear(xt, w, b)
+                loss = ops.sum_all(ops.mul(out, Tensor(probe.reshape(out.shape))))
+            grads = backward(loss, tape)
+            return out.data.reshape(-1, 48), grads[xt].reshape(-1, 64), grads[w], grads[b]
+
+        for got, want in zip(run((8, 16, 16)), run((2048,))):
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, want)
+
 
 class TestElementwise:
     def test_add_sub_mul_require_same_shape(self):
@@ -330,6 +350,20 @@ class TestSoftmax:
         assert np.isnan(got[1, 2]).all() and not np.isnan(got[[0, 2, 3]]).any()
         np.testing.assert_array_equal(x, before)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_window_rows_bit_equal_to_np_sum_form(self, rng, dtype):
+        # outlook attention's (..., windows, N, K², K²) logits, whole and as
+        # one band of window rows; forward and backward against np.sum
+        logits = (5.0 * rng.standard_normal((2, 49, 6, 9, 9))).astype(dtype)
+        g = rng.standard_normal(logits.shape).astype(dtype)
+        for x, gx in ((logits, g), (logits[:, 14:28], g[:, 14:28])):
+            e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+            s = e / np.sum(e, axis=-1, keepdims=True)
+            got = ops.softmax(Tensor(x)).data
+            np.testing.assert_array_equal(got, s)
+            want = s * (gx - np.sum(gx * s, axis=-1, keepdims=True))
+            np.testing.assert_array_equal(ops._softmax_grad(s, gx), want)
+
     def test_log_softmax_consistent(self, rng):
         x = Tensor(rng.standard_normal((4, 7)), dtype=np.float64)
         np.testing.assert_allclose(np.exp(ops.log_softmax(x).data),
@@ -340,6 +374,26 @@ class TestSoftmax:
     def test_rejects_input_without_a_row(self, op, shape):
         with pytest.raises(ShapeError, match="non-empty last axis"):
             op(Tensor(np.zeros(shape)))
+
+
+class TestRowSum:
+    """``_row_sum`` must give np.sum's bits; it fails if numpy's order changes."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_bit_equal_to_np_sum(self, rng, n, dtype):
+        shape = (64, 5, n)
+        mags = 10.0 ** rng.uniform(-4.0, 4.0, shape)
+        d = (rng.choice([-1.0, 1.0], shape) * mags).astype(dtype)
+        d[rng.random(shape) < 0.1] = -0.0
+        d[0] = -0.0                         # rows of ±0 alone
+        d[1] = 0.0
+        d[2, ::2] = -0.0
+        for x in (d, d[:, 1:4]):            # contiguous, and a slice of the window axis
+            want = np.sum(x, axis=-1, keepdims=True)
+            got = ops._row_sum(x)
+            assert got.dtype == dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestLayerNorm:
