@@ -45,11 +45,12 @@ from .tensor import MADD_COUNTER, Tensor, from_op, trunc_normal
 from .windows import (
     WindowGeometry,
     _fold_band,
+    _padded_slab,
     _unfold_band,
+    _window_view,
     check_heads,
     check_window,
     in_bounds_mask,
-    padded_windows,
     unfold,
 )
 
@@ -177,6 +178,11 @@ class OutlookAttention(Module):
     __call__ = forward
 
 
+def _per_piece(n: int, unit_bytes: int) -> int:
+    """How many of ``n`` units fit in ``_PIECE_BYTES``: at least 1, at most ``n``."""
+    return min(n, max(1, _PIECE_BYTES // max(1, unit_bytes)))
+
+
 def _row_bands(h: int, rows: int) -> list[slice]:
     """Bands of ``rows`` window rows over ``h`` window rows, last band first."""
     return [slice(a, min(a + rows, h)) for a in reversed(range(0, h, rows))]
@@ -210,8 +216,7 @@ def _outlook_core(logits: Tensor, values: Tensor, geom: WindowGeometry, heads: i
     h, w = geom.out_height, geom.out_width
     logits_shape = logits.shape
     s = ops._softmax_array(logits.data.reshape(*lead, geom.windows, heads, k2, k2))
-    row_bytes = math.prod(lead) * w * k2 * channels * values.dtype.itemsize
-    band = min(h, max(1, _PIECE_BYTES // row_bytes))     # the forward's window rows
+    band = _per_piece(h, math.prod(lead) * w * k2 * channels * values.dtype.itemsize)
 
     def cut(rows):                  # the band's windows on the window axis
         return (..., slice(rows.start * w, rows.stop * w), slice(None), slice(None), slice(None))
@@ -285,14 +290,15 @@ class Conv2d(Module):
     """K×K cross-correlation with zero padding ⌊K/2⌋ and bias, as one tape node.
 
     The node keeps the input and the weight; no pass builds the whole
-    K²·Cin-wide window stack.  With ``pieces`` = ⌈stack bytes / ``_PIECE_BYTES``⌉,
-    the forward copies the windows of ⌈h/pieces⌉ output rows at a time out of
-    a padded slab of the rows they read (``_unfold_band``) and multiplies them
-    by the weight in one BLAS call.  The backward takes the kernel rows in
-    min(K, pieces) groups and scatter-adds each group's input gradient in
-    ``fold_array``'s slot order; each weight-gradient element stays one sum
-    over all windows.  So every element is the same sum in the same order at
-    any piece count.
+    K²·Cin-wide window stack.  Both passes walk the window grid in bands of
+    whole window rows, at most ``_PIECE_BYTES`` of stack each: the forward
+    multiplies a band's windows (``_unfold_band``) by the weight in one BLAS
+    call; the backward folds a band's g·Wᵀ onto the input gradient
+    (``_fold_band``, the unfold's adjoint), last band first, which adds every
+    token's terms in ``fold_array``'s slot order.  Before that, the weight
+    gradient reads one padded copy of the input a group of kernel rows at a
+    time, each element one sum over all windows.  So every element is the
+    same sum in the same order at any piece size.
     """
 
     def __init__(self, rng, kernel: int, cin: int, cout: int, stride: int = 1,
@@ -314,39 +320,35 @@ class Conv2d(Module):
         k, cin, cout = self.kernel, self.cin, self.cout
         h, w, row = geom.out_height, geom.out_width, k * k * cin
         wmat = self.weight.data.reshape(row, cout)
-        stack_rows = math.prod(lead) * geom.windows
-        pieces = max(1, -(-stack_rows * row * x.dtype.itemsize // _PIECE_BYTES))
+        itemsize, xdata = x.dtype.itemsize, x.data
+        bands = _row_bands(h, _per_piece(h, math.prod(lead) * w * row * itemsize))
 
         out = np.empty((*lead, h, w, cout), dtype=x.dtype)
-        band = -(-h // pieces)
-        for a in range(0, h, band):
-            rows = slice(a, min(a + band, h))
-            out[..., rows, :, :] = ops._gemm(
-                _unfold_band(x.data, geom, 1, rows).reshape(*lead, -1, w, row), wmat)
+        for rows in bands:
+            out[..., rows, :, :] = ops._gemm(_unfold_band(xdata, geom, 1, rows).reshape(
+                *lead, rows.stop - rows.start, w, row), wmat)
         out += self.bias.data
-        xdata, weight_shape, needs_gx = x.data, self.weight.shape, x.requires_grad
+        weight_shape, needs_gx = self.weight.shape, x.requires_grad
 
         def backward_fn(g):
             g2 = g.reshape(-1, cout)
-            inner, view = padded_windows(lead, cin, geom, xdata.dtype)
-            inner[...] = xdata
-            if needs_gx:
-                gx, gview = padded_windows(lead, cin, geom, xdata.dtype)
+            view = _window_view(_padded_slab(xdata, geom, slice(0, h)), geom, 1)
             gw = np.empty((row, cout), dtype=xdata.dtype)
-            group = -(-k // min(k, pieces))
+            group = _per_piece(k, math.prod(lead) * h * w * k * cin * itemsize)
             for dp in range(0, k, group):
-                krows = min(group, k - dp)
-                lo, hi = dp * k * cin, (dp + krows) * k * cin
-                if needs_gx:
-                    part = (g2 @ wmat[lo:hi].T).reshape(*lead, h, w, krows, k, cin)
-                    for i, dq in np.ndindex(krows, k):
-                        gview[..., 0, dp + i, dq, :] += part[..., i, dq, :]
-                    del part        # freed before the slab is copied
-                slab = np.ascontiguousarray(view[..., 0, dp : dp + krows, :, :])
+                lo, hi = dp * k * cin, min(dp + group, k) * k * cin
+                slab = np.ascontiguousarray(view[..., 0, dp : dp + group, :, :])
                 gw[lo:hi] = slab.reshape(-1, hi - lo).T @ g2
                 del slab
-            return (np.ascontiguousarray(gx) if needs_gx else None,
-                    gw.reshape(weight_shape), g2.sum(axis=0))
+            del view        # the padded input is freed before the input gradient
+            gx = None
+            if needs_gx:
+                gx = np.zeros(xdata.shape, dtype=xdata.dtype)
+                for rows in bands:
+                    n = rows.stop - rows.start
+                    part = g[..., rows, :, :].reshape(-1, cout) @ wmat.T
+                    _fold_band(gx, part.reshape(*lead, n * w, 1, k * k, cin), geom, rows)
+            return gx, gw.reshape(weight_shape), g2.sum(axis=0)
 
         return from_op(out, (x, self.weight, self.bias), backward_fn)
 

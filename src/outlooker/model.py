@@ -253,8 +253,8 @@ class TwoStageModel(Module):
         """(B, S, S, 3) images (Tensor or ndarray) → (B, num_classes) logits.
 
         The whole batch runs through one forward.  Raises ``ShapeError`` for
-        any other resolution (the position table is not interpolated) and
-        ``ContractError`` when an image holds NaN or ±inf.
+        a batch of 0 or any other resolution (the position table is not
+        interpolated) and ``ContractError`` when an image holds NaN or ±inf.
         """
         if not isinstance(images, Tensor):
             images = Tensor(np.asarray(images), dtype=self.dtype)
@@ -264,6 +264,8 @@ class TwoStageModel(Module):
                 f"expected (B, {size}, {size}, 3) images (the config's resolution; "
                 f"position table is not interpolated), got {images.shape}"
             )
+        if images.shape[0] == 0:
+            raise ShapeError("expected at least one image, got a batch of 0")
         if not np.isfinite(images.data).all():
             raise ContractError("images contain NaN or infinite values")
         batch = images.shape[0]

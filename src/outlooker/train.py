@@ -63,6 +63,8 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if logits.ndim != 2:
         raise ContractError(f"expected (B, classes) logits, got {logits.shape}")
     batch, classes = logits.shape
+    if batch == 0:
+        raise ContractError("expected at least one example, got a batch of 0")
     labels = np.asarray(labels)
     if not np.issubdtype(labels.dtype, np.integer):
         raise ContractError(f"labels must be integers, got dtype {labels.dtype}")

@@ -17,15 +17,14 @@ attention multiplies: head ``n`` of a slot holds channels n·C/N to
 One strided view decides that layout: over a zero-padded map it shapes the
 windows (..., h, w, N, K, K, C/N) with no copy, splitting the channels as
 (N, C/N) and putting the head axis before the window slots.
-``padded_windows`` allocates a whole padded map and returns its interior and
-that view; ``Conv2d``'s backward copies and scatters through it a piece at a
-time.
+``_padded_slab`` is the one padding routine: it copies the map rows a band
+of window rows reads into a zeroed slab.
 The array kernels work on a band of window rows, so a caller can walk the
 grid without holding the whole stack, as outlook attention's window core
-does: ``_unfold_band`` copies a band's windows out of a padded slab of only
-the map rows they read, and ``_fold_band`` scatter-adds a band's stack rows
-onto an unpadded map slot by slot, skipping the windows whose slot lands
-in the padding.  ``unfold_array`` and ``fold_array`` are their whole-grid case.
+and ``Conv2d`` do: ``_unfold_band`` copies a band's windows out of its
+padded slab, and ``_fold_band`` scatter-adds a band's stack rows onto an
+unpadded map slot by slot, skipping the windows whose slot lands in the
+padding.  ``unfold_array`` and ``fold_array`` are their whole-grid case.
 ``fold`` is the exact linear adjoint of ``unfold``: ⟨unfold(x), y⟩ =
 ⟨x, fold(y)⟩, which is also how the two ops provide each other's backward.
 Only odd kernels are supported: an even window has no center token.
@@ -33,7 +32,6 @@ Only odd kernels are supported: an even window has no center token.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,33 +102,26 @@ def _window_view(padded: np.ndarray, geom: WindowGeometry, heads: int) -> np.nda
     return as_strided(padded, shape, (*lead_strides, s * row, s * col, cn * chan, row, col, chan))
 
 
-def padded_windows(lead: Sequence[int], channels: int, geom: WindowGeometry, dtype,
-                   heads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """A zeroed padded map, as two writeable views of its one buffer.
+def _padded_slab(x: np.ndarray, geom: WindowGeometry, rows: slice) -> np.ndarray:
+    """The zero-padded map rows that window rows ``rows`` read, copied from ``x``.
 
-    Returns the (..., H, W, C) interior, where the map goes, and the view of
-    every window, (..., h, w, N, K, K, C/N), with no copy.  Window (a, b)
-    starts at padded row a·s, column b·s; its last row is at most
-    s·(⌈H/s⌉ − 1) + K − 1 ≤ H + K − 2, inside the H + K − 1 padded rows.
-    """
-    p = geom.padding
-    padded = np.zeros((*lead, geom.height + 2 * p, geom.width + 2 * p, channels), dtype=dtype)
-    view = _window_view(padded, geom, heads)
-    return padded[..., p : p + geom.height, p : p + geom.width, :], view
-
-
-def _unfold_band(x: np.ndarray, geom: WindowGeometry, heads: int, rows: slice) -> np.ndarray:
-    """The windows of window rows ``rows``: (..., H, W, C) → (..., rows·w, N, K², C/N).
-
-    They are copied out of a zero-padded slab of only the map rows they read.
+    (..., H, W, C) → (..., (n − 1)·s + K, W + 2p, C) for n window rows; the
+    slab's first row is the map's row ``rows.start``·s − p.
     """
     *lead, height, width, channels = x.shape
     k, s, p, n = geom.kernel, geom.stride, geom.padding, rows.stop - rows.start
-    top = rows.start * s - p                    # the slab's first row, as a map row
+    top = rows.start * s - p
     slab = np.zeros((*lead, (n - 1) * s + k, width + 2 * p, channels), dtype=x.dtype)
     lo, hi = max(top, 0), min(top + slab.shape[-3], height)
     slab[..., lo - top : hi - top, p : p + width, :] = x[..., lo:hi, :, :]
-    stack = np.ascontiguousarray(_window_view(slab, geom, heads))
+    return slab
+
+
+def _unfold_band(x: np.ndarray, geom: WindowGeometry, heads: int, rows: slice) -> np.ndarray:
+    """The windows of window rows ``rows``: (..., H, W, C) → (..., rows·w, N, K², C/N)."""
+    *lead, _, _, channels = x.shape
+    n, k = rows.stop - rows.start, geom.kernel
+    stack = np.ascontiguousarray(_window_view(_padded_slab(x, geom, rows), geom, heads))
     return stack.reshape(*lead, n * geom.out_width, heads, k * k, channels // heads)
 
 
@@ -149,7 +140,7 @@ def _fold_band(acc: np.ndarray, y: np.ndarray, geom: WindowGeometry, rows: slice
     k, s, p = geom.kernel, geom.stride, geom.padding
     heads, cn = y.shape[-3], y.shape[-1]
     acc = acc.reshape(*lead, height, width, heads, cn)
-    grid = y.reshape(*lead, -1, geom.out_width, heads, k, k, cn)
+    grid = y.reshape(*lead, rows.stop - rows.start, geom.out_width, heads, k, k, cn)
 
     def span(d, lo, hi, extent):
         # windows lo..hi-1 whose offset d lands in [0, extent), and the tokens it lands on

@@ -28,6 +28,7 @@ from outlooker import (
     unfold,
     unfold_array,
 )
+from outlooker import attention
 from outlooker.attention import (
     _PIECE_BYTES,
     LAYER_KINDS,
@@ -108,8 +109,8 @@ class TestConvTapeNode:
         # tiny's stem conv: a 4.7 MB stack, walked in several pieces both ways
         pytest.param(3, 1, (8,), (16, 16), 64, 64, id="tiny-stem"),
     ])
-    def test_one_node_bit_equal_to_unfold_then_linear(self, rng, kernel, stride, lead, size,
-                                                      cin, cout):
+    def test_one_node_bit_equal_to_unfold_then_linear(self, rng, monkeypatch, kernel, stride,
+                                                      lead, size, cin, cout):
         conv = Conv2d(np.random.default_rng(3), kernel, cin, cout, stride=stride)
         conv.bias.data[...] = rng.standard_normal(cout)
         x = Tensor(rng.standard_normal((*lead, *size, cin)), dtype=np.float32,
@@ -134,15 +135,19 @@ class TestConvTapeNode:
             grads = backward(loss, tape)
             return out.data, [grads[t] for t in (x, conv.weight, conv.bias)], nodes, counted
 
-        out, grads, nodes, counted = run(conv.forward)
         want_out, want_grads, want_nodes, want_counted = run(composed)
-        assert (nodes, want_nodes) == (1, 5)
-        assert counted == want_counted == (
-            geom.windows * math.prod(lead) * kernel * kernel * cin * cout)
-        np.testing.assert_array_equal(out, want_out)
-        for got, want in zip(grads, want_grads):
-            assert got.dtype == np.float32
-            np.testing.assert_array_equal(got, want)
+        # at the library's piece size, then at 4 KiB pieces: most bands are
+        # one window row and every weight-gradient group one kernel row
+        for piece_bytes in (_PIECE_BYTES, 4096):
+            monkeypatch.setattr(attention, "_PIECE_BYTES", piece_bytes)
+            out, grads, nodes, counted = run(conv.forward)
+            assert (nodes, want_nodes) == (1, 5)
+            assert counted == want_counted == (
+                geom.windows * math.prod(lead) * kernel * kernel * cin * cout)
+            np.testing.assert_array_equal(out, want_out)
+            for got, want in zip(grads, want_grads):
+                assert got.dtype == np.float32
+                np.testing.assert_array_equal(got, want)
 
     def test_no_pass_allocates_the_whole_window_stack(self, rng):
         conv = Conv2d(np.random.default_rng(3), 5, 16, 16)
@@ -179,6 +184,52 @@ class TestConvTapeNode:
         finally:
             tracemalloc.stop()
         assert peak <= out.data.nbytes + 2.5 * _PIECE_BYTES
+
+    def test_backward_holds_one_padded_input_and_one_slab(self, rng):
+        # the stem's 3×3 conv: the weight gradient reads one padded copy of
+        # the input a kernel row at a time, and it is freed before the input
+        # gradient is folded band by band onto an unpadded map
+        conv = Conv2d(np.random.default_rng(3), 3, 64, 64)
+        x = Tensor(rng.standard_normal((1, 112, 112, 64)), dtype=np.float32,
+                   requires_grad=True)
+        probe = Tensor(rng.standard_normal((1, 112, 112, 64)), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = ops.sum_all(ops.mul(conv(x), probe))
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            grads = backward(loss, tape)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert grads[x].shape == x.shape
+        g_bytes = probe.data.nbytes
+        padded_bytes = 114 * 114 * 64 * 4
+        slab_bytes = 112 * 112 * 3 * 64 * 4            # one kernel row of the stack
+        assert peak <= g_bytes + padded_bytes + slab_bytes + _PIECE_BYTES     # 17.22 MB
+
+
+class TestEmptyBatch:
+    @pytest.mark.parametrize("build, shape", [
+        (lambda rng: OutlookAttention(rng, 8, 2), (0, 6, 6, 8)),
+        (lambda rng: OutlookAttention(rng, 8, 2, stride=2), (0, 6, 6, 8)),
+        (lambda rng: LocalSelfAttention(rng, 8, 2), (0, 6, 6, 8)),
+        (lambda rng: SelfAttention(rng, 8, 2), (0, 36, 8)),
+        (lambda rng: Conv2d(rng, 3, 8, 8), (0, 6, 6, 8)),
+        (lambda rng: Conv2d(rng, 7, 8, 4, stride=2), (0, 6, 6, 8)),
+    ], ids=["oa", "oa-s2", "lsa", "sa", "conv", "conv-7-s2"])
+    def test_empty_output_and_gradients(self, build, shape):
+        layer = build(np.random.default_rng(0))
+        x = Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
+        with Tape() as tape:
+            out = layer(x)
+            loss = ops.sum_all(out)
+        grads = backward(loss, tape)
+        assert out.shape[0] == 0 and out.dtype == np.float32
+        assert grads[x].shape == shape
+        for p in layer.parameters():
+            np.testing.assert_array_equal(grads[p], np.zeros_like(p.data))
 
 
 class TestOutlookHeadMajor:

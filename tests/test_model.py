@@ -228,6 +228,13 @@ class TestForward:
         with pytest.raises(ShapeError):
             model.forward(rng.standard_normal((1, 48, 48, 3)))
 
+    def test_empty_batch_rejected_before_any_layer(self):
+        model = build_model(PRESETS["tiny"], seed=0)
+        start = MADD_COUNTER.total
+        with pytest.raises(ShapeError):
+            model.forward(np.zeros((0, 32, 32, 3), dtype=np.float32))
+        assert MADD_COUNTER.total == start
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_images_rejected(self, bad, rng):
         model = build_model(PRESETS["tiny"], seed=0)

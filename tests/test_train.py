@@ -69,6 +69,11 @@ class TestCrossEntropy:
         with pytest.raises(ContractError):
             cross_entropy(Tensor(np.zeros(5)), np.array([0]))
 
+    def test_empty_batch_rejected(self):
+        # the mean over 0 examples would divide by zero
+        with pytest.raises(ContractError):
+            cross_entropy(Tensor(np.zeros((0, 3)), dtype=np.float64), np.zeros(0, dtype=int))
+
     def test_label_count_validation(self):
         with pytest.raises(ContractError):
             cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 1, 2]))

@@ -23,6 +23,9 @@ one machine, and diffing the output.  It prints one sorted JSON object:
   gradient (``w_v``, ``w_a``, ``b_a``, ``w_o``, ``b_o``) of
   ``OutlookAttention`` at stride 1 and at stride 2, on the shapes and seed
   of perfbench's ``oa-layer`` workload (d1's stage-1 layer on a 56² map);
+* ``conv_layer``: the output and the input, weight and bias gradients of a
+  3×3 ``Conv2d`` on a (2, 56, 56, 64) map and a 7×7 stride-2 one on a
+  (2, 64, 64, 3) image, each walking its window grid in several bands;
 * ``toy_trace``: the loss trace of ``train_toy(steps=500, seed=0)``.
 """
 
@@ -47,6 +50,7 @@ import numpy as np  # noqa: E402
 
 from outlooker import (  # noqa: E402
     PRESETS,
+    Conv2d,
     OutlookAttention,
     Tape,
     Tensor,
@@ -109,6 +113,25 @@ def oa_layer() -> str:
     return digest(named)
 
 
+def conv_layer() -> str:
+    """Digest of two convs' outputs and gradients, with the input requiring grad."""
+    rng = np.random.default_rng(SEED + 2)
+    named = []
+    for kernel, stride, shape, cout in ((3, 1, (2, 56, 56, 64), 64), (7, 2, (2, 64, 64, 3), 64)):
+        conv = Conv2d(np.random.default_rng(SEED), kernel, shape[-1], cout, stride=stride)
+        conv.bias.data[...] = rng.standard_normal(cout)
+        x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+        with Tape() as tape:
+            out = conv(x)
+            cotangent = Tensor(rng.standard_normal(out.shape).astype(np.float32))
+            loss = ops.sum_all(ops.mul(out, cotangent))
+        grads = backward(loss, tape)
+        tag = f"k{kernel}_s{stride}"
+        named += [(f"out_{tag}", out.data), (f"dx_{tag}", grads[x])]
+        named += [(f"{name}_{tag}", grads[p]) for name, p in conv.named_params()]
+    return digest(named)
+
+
 def main() -> None:
     d1 = build_model(PRESETS["d1"], seed=SEED)
     d1_f64 = build_model(PRESETS["d1"], seed=SEED, dtype=np.float64)
@@ -125,6 +148,7 @@ def main() -> None:
         "tiny_conv_b8_grads": step_grads(dataclasses.replace(tiny, stage1_kind="conv"), 8),
         "d1_b2_grads": step_grads(PRESETS["d1"], 2),
         "oa_layer": oa_layer(),
+        "conv_layer": conv_layer(),
         "toy_trace": digest([("losses", np.array(train_toy(steps=500, seed=SEED).losses))]),
     }
     print(json.dumps(out, indent=2, sort_keys=True))
