@@ -14,6 +14,10 @@ and backward GEMMs are not counted.  A product of a (..., k) array with a
 (k, n) matrix, forward (``_gemm``) or backward (``linear``'s input
 gradient), is one BLAS call over the flattened rows, not numpy's one call
 per leading index; the bits depend on how many rows one call covers.
+
+GELU's erf is the package's own, in numpy alone: a rational one in float32
+(``_rational_erf``) and a piecewise polynomial one in float64 (``_erf64``),
+so no float64 bit depends on an installed special-function library.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ContractError, ShapeError
 from .tensor import MADD_COUNTER, Tensor, active_tape, from_op
@@ -38,6 +41,23 @@ _ERF32_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
             -1.60960333262415e-02)
 _ERF32_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
             -7.37332916720468e-03, -1.42647390514189e-02)
+# float64 erf, split as in Cody (Math. Comp. 23, 1969): z·P(z²) on |z| < 1,
+# and 1 - exp(-z²)·R(2/(2 + z) - 15/32) on 1 <= z <= 6, in Numerical Recipes'
+# erfc variable 2/(2 + z).  Highest power first; mpmath.chebyfit at 60 digits
+# fitted P (degree 12) to erf(√w)/√w on w in [0, 1] and R (degree 16) to
+# exp(z²)·erfc(z) on z in [1, 6].
+_ERF64_P = (5.957176147748911e-11, -1.1372848856791674e-09, 1.4659775274047436e-08,
+            -1.6350312701054695e-07, 1.6461000484121368e-06, -1.4925595266831182e-05,
+            0.0001205533111164271, -0.000854832698083379, 0.0052239776248180145,
+            -0.026866170645076792, 0.11283791670954879, -0.3761263890318375,
+            1.1283791670955126)
+_ERF64_R = (-0.07440021243346044, -0.004499390926450373, 0.07655637061309366,
+            -0.04245814718892475, -0.046700085594944526, 0.07635917678696351,
+            0.00524777777809581, -0.09467533673864598, 0.03718601619595371,
+            0.11968288763488266, -0.08117396723069702, -0.2112053359431032,
+            0.09378622022385959, 0.6222134178330684, 0.90781628059598,
+            0.7957998587373288, 0.2296213198668404)
+_ERF64_SHIFT = 15 / 32      # a binary fraction near the middle of 2/(2 + z)'s [1/4, 2/3]
 
 
 def _same_dtype(op: str, *tensors: Tensor) -> None:
@@ -380,16 +400,46 @@ def _rational_erf(z: np.ndarray, t: np.ndarray, u: np.ndarray) -> None:
     z.clip(-1.0, 1.0, z)
 
 
+def _erf64(z: np.ndarray, t: np.ndarray, u: np.ndarray, v: np.ndarray,
+           m: np.ndarray) -> None:
+    """erf(z) in place for float64 ``z``; ``t``, ``u``, ``v`` are float64 scratch, ``m`` bool.
+
+    |z| < 1 takes z·P(z²).  Elsewhere a = min(|z|, 6) and erf(z) =
+    sign(z)·(1 - exp(-a²)·R(a)), which rounds to ±1 from |z| ≈ 5.92 on.
+    Within 3 ulp of the exact erf; NaN stays NaN, ±0 and subnormals keep
+    their sign, and no step overflows, so no floating-point warning is raised.
+    """
+    np.abs(z, out=t)
+    np.greater_equal(t, 1.0, out=m)     # the tail's elements; NaN takes the near piece
+    t.clip(1.0, 6.0, t)                 # a, kept inside R's fitted range
+    np.multiply(t, t, out=u)
+    np.negative(u, out=u)
+    np.exp(u, out=u)
+    np.add(t, 2.0, out=t)
+    np.divide(2.0, t, out=t)
+    np.subtract(t, _ERF64_SHIFT, out=t)
+    _horner(t, _ERF64_R, v)
+    np.multiply(u, v, out=u)            # erfc(a)
+    np.subtract(1.0, u, out=u)
+    np.copysign(u, z, out=u)
+    z.clip(-1.0, 1.0, t)                # equals z wherever the near piece is kept
+    np.multiply(t, t, out=v)
+    _horner(v, _ERF64_P, z)
+    np.multiply(z, t, out=z)
+    np.copyto(z, u, where=m)
+
+
 def gelu(x: Tensor) -> Tensor:
     """Gaussian-error linear unit, exact erf form: x * Phi(x), Phi(x) = (1 + erf(x/√2)) / 2.
 
     One pass over the flattened input in blocks of ``_GELU_BLOCK_BYTES``;
-    every step writes into the preallocated output or into one of three
-    block-sized scratch buffers.  The dtype picks the erf.  float64 uses
-    scipy's, in the operations of the whole-array expression, so its bits do
-    not depend on the block.  float32 uses ``_rational_erf``, a rational erf
-    on x/√2 clamped to [-4, 4], within 5e-7 of the exact erf and clipped to
-    [-1, 1], so 0 <= Phi <= 1.
+    every step writes into the preallocated output or into block-sized
+    scratch: three buffers in float32, four and a bool mask in float64.  The
+    dtype picks the erf, and neither's bits depend on the block.  float64
+    uses ``_erf64``, a piecewise polynomial erf within 3 ulp of the exact
+    one.  float32 uses ``_rational_erf``, a rational erf on x/√2 clamped to
+    [-4, 4], within 5e-7 of the exact erf and clipped to [-1, 1].  So
+    0 <= Phi <= 1 in both.
 
     A recorded node keeps only the derivative Phi(x) + x * pdf(x), computed in
     the forward; an unrecorded call computes no derivative.
@@ -402,6 +452,8 @@ def gelu(x: Tensor) -> Tensor:
     rational = d.dtype == np.float32
     block = max(1, min(d.size, _GELU_BLOCK_BYTES // d.itemsize))
     phi_buf, t_buf, u_buf = (np.empty(block, dtype=d.dtype) for _ in range(3))
+    if not rational:
+        v_buf, m_buf = np.empty(block, dtype=d.dtype), np.empty(block, dtype=bool)
     for start in range(0, d.size, block):
         stop = min(start + block, d.size)
         xb, n = d[start:stop], stop - start
@@ -410,7 +462,7 @@ def gelu(x: Tensor) -> Tensor:
         if rational:
             _rational_erf(phi, t, u_buf[:n])
         else:
-            erf(phi, out=phi)
+            _erf64(phi, t, u_buf[:n], v_buf[:n], m_buf[:n])
         np.add(phi, 1.0, out=phi)
         np.multiply(phi, 0.5, out=phi)
         np.multiply(xb, phi, out=out_flat[start:stop])

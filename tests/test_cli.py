@@ -280,12 +280,25 @@ def test_config_field_of_the_wrong_type_is_usage_error(runner, field, value, tmp
 
 
 class TestModuleEntry:
-    def test_python_m_runs_the_cli(self):
-        # ``python -m outlooker.cli`` must reach main(), not import and exit
+    @staticmethod
+    def _python(*args):
+        """Run a fresh interpreter that finds this checkout's package first."""
         src = str(Path(outlooker.__file__).resolve().parent.parent)
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        result = subprocess.run([sys.executable, "-m", "outlooker.cli", "--version"],
-                                capture_output=True, text=True, timeout=60,
-                                env={**os.environ, "PYTHONPATH": path})
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": path})
+
+    def test_python_m_runs_the_cli(self):
+        # ``python -m outlooker.cli`` must reach main(), not import and exit
+        result = self._python("-m", "outlooker.cli", "--version")
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip().endswith("0.1.0")
+
+    def test_import_loads_no_scipy(self):
+        # float64 GELU's erf is the package's own; importing scipy.special
+        # alone took more than half of ``import outlooker``
+        code = ("import sys, outlooker, outlooker.cli; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        result = self._python("-c", code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

@@ -2,10 +2,11 @@
 
 import math
 import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import special
 
 from outlooker import MADD_COUNTER, Tape, Tensor, backward, ops
 from outlooker.errors import ContractError, ShapeError
@@ -71,7 +72,7 @@ class TestElementwise:
     def test_gelu_matches_erf_form(self, rng):
         x = rng.standard_normal((4, 6))
         got = ops.gelu(Tensor(x, dtype=np.float64)).data
-        want = 0.5 * x * (1.0 + special.erf(x / np.sqrt(2.0)))
+        want = 0.5 * x * (1.0 + _math_erf(x / np.sqrt(2.0)))
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_float32_stays_float32(self, rng):
@@ -86,6 +87,7 @@ class TestElementwise:
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 ERF32_BOUND = 5e-7     # |rational erf - exact erf| in float32, fixed before measuring
+ERF64_ULPS = 3         # |float64 erf - exact erf| in ulps, fixed before measuring
 
 
 def _phi32(d):
@@ -95,12 +97,37 @@ def _phi32(d):
     return 0.5 * (1.0 + z)
 
 
+def _math_erf(z):
+    """math.erf over an array, as float64."""
+    return np.frompyfunc(math.erf, 1, 1)(z).astype(np.float64)
+
+
+def _erf64(z):
+    """The library's float64 erf of ``z``, as a new array."""
+    z = np.array(z, dtype=np.float64)     # an array even at rank 0
+    ops._erf64(z, *(np.empty_like(z) for _ in range(3)), np.empty(z.shape, dtype=bool))
+    return z
+
+
+def _max_ulps(got, z):
+    """The largest |got - erf(z)| in ulps of the exact erf, by mpmath at 40 digits."""
+    worst = 0.0
+    with mpmath.workdps(40):
+        for g, x in zip(got.tolist(), z.tolist()):
+            exact = mpmath.erf(x)
+            exponent = mpmath.frexp(exact)[1] if exact else -1074
+            ulp = mpmath.ldexp(1, max(exponent - 53, -1074))
+            worst = max(worst, float(abs(g - exact) / ulp))
+    return worst
+
+
 def _phi64(d):
-    return 0.5 * (1.0 + special.erf(d * _INV_SQRT2))
+    """The library's float64 Phi: (1 + erf(x/√2)) / 2 by its own float64 erf."""
+    return 0.5 * (1.0 + _erf64(np.asarray(d, dtype=np.float64) * _INV_SQRT2))
 
 
 def _erf_form(d):
-    """GELU's output and derivative as whole-array expressions over scipy's erf."""
+    """GELU's output and derivative as whole-array expressions over the float64 Phi."""
     phi = _phi64(d)
     return d * phi, phi + d * (np.exp(-0.5 * d * d) * _INV_SQRT_2PI)
 
@@ -124,9 +151,27 @@ class TestGeluKernel:
         e = z.copy()
         ops._rational_erf(e, np.empty_like(z), np.empty_like(z))
         assert e.dtype == np.float32
-        err = np.abs(e.astype(np.float64) - special.erf(z.astype(np.float64)))
+        err = np.abs(e.astype(np.float64) - _math_erf(z.astype(np.float64)))
         assert err.max() <= ERF32_BOUND
         assert np.array_equal(e[-6:-4], [1.0, -1.0])
+
+    def test_erf64_within_bound_of_mpmath(self):
+        # steps of 8e-4 over [-8, 8], the pieces' edges 1 and 6 with the
+        # floats on either side, and float64's extremes
+        edges = np.array([1.0, 6.0])
+        edges = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 8)])
+        tiny = np.finfo(np.float64).smallest_subnormal
+        z = np.concatenate([np.linspace(-8, 8, 20_001), edges, -edges,
+                            [0.0, -0.0, tiny, -tiny, 1e-300, -1e-300, 1e308, -1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e, mirrored = _erf64(z), _erf64(-z)
+            ends = _erf64([np.inf, -np.inf, np.nan])
+        assert _max_ulps(e, z) <= ERF64_ULPS
+        np.testing.assert_array_equal(ends, [1.0, -1.0, np.nan])
+        assert np.array_equal(mirrored.view(np.uint64), (-e).view(np.uint64))
+        assert np.array_equal(np.signbit(e), np.signbit(z))
+        assert np.abs(e).max() <= 1.0
 
     def test_phi_within_unit_interval(self):
         big = np.finfo(np.float32).max
@@ -204,12 +249,10 @@ class TestGeluBlocks:
         np.testing.assert_array_equal(deriv, want_deriv)
         np.testing.assert_array_equal(out, d * _phi32(d))
 
-    def test_peak_is_output_and_block_scratch(self, rng):
-        # the stem's first GELU map; the old whole-array form held whole-map
-        # temporaries beside its output
-        d = rng.standard_normal((1, 112, 112, 64)).astype(np.float32)
+    @staticmethod
+    def _peaks(d):
+        """gelu's traced peak above its input, untaped and taped."""
         x = Tensor(d, requires_grad=True)
-        scratch, slack = 3 * ops._GELU_BLOCK_BYTES, 16 * 1024
 
         def peak(taped):
             tracemalloc.start()
@@ -224,8 +267,25 @@ class TestGeluBlocks:
             finally:
                 tracemalloc.stop()
 
-        assert peak(taped=False) <= d.nbytes + scratch + slack
-        assert peak(taped=True) <= 2 * d.nbytes + scratch + slack
+        return peak(taped=False), peak(taped=True)
+
+    def test_peak_is_output_and_block_scratch(self, rng):
+        # the stem's first GELU map; the old whole-array form held whole-map
+        # temporaries beside its output
+        d = rng.standard_normal((1, 112, 112, 64)).astype(np.float32)
+        scratch, slack = 3 * ops._GELU_BLOCK_BYTES, 16 * 1024
+        untaped, taped = self._peaks(d)
+        assert untaped <= d.nbytes + scratch + slack
+        assert taped <= 2 * d.nbytes + scratch + slack
+
+    def test_float64_peak_is_output_and_block_scratch(self, rng):
+        # the same map in float64: _erf64 adds a fourth float block and a
+        # bool mask of one block's values (an eighth of a block's bytes)
+        d = rng.standard_normal((1, 112, 112, 64))
+        scratch, slack = 4 * ops._GELU_BLOCK_BYTES + ops._GELU_BLOCK_BYTES // 8, 16 * 1024
+        untaped, taped = self._peaks(d)
+        assert untaped <= d.nbytes + scratch + slack
+        assert taped <= 2 * d.nbytes + scratch + slack
 
 
 class TestGeluNode:
@@ -246,7 +306,7 @@ class TestGeluNode:
         with Tape() as tape:
             loss = ops.sum_all(ops.mul(ops.gelu(x), Tensor(g)))
         got = backward(loss, tape)[x]
-        # float32 against the library's own Phi: its erf is the rational kernel
+        # against the library's own Phi in each dtype
         phi = _phi32(d) if dtype == np.float32 else _phi64(d)
         pdf = np.exp(-0.5 * d * d) * _INV_SQRT_2PI
         want = g * (phi + d * pdf)
