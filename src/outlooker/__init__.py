@@ -26,9 +26,8 @@ from .blocks import (
     OutlookerBlock,
     ResidualBlock,
     TransformerBlock,
-    drop_path_schedule,
+    drop_path_masks,
     mlp_hidden,
-    stochastic_depth_mask,
 )
 from .checks import GRADCHECK_KINDS, ORACLE_KINDS, gradient_check, oracle_check
 from .errors import ContractError, DivergenceError, GeometryError, ShapeError
@@ -58,7 +57,8 @@ from .oracle import (
     relative_error,
 )
 from .tensor import MADD_COUNTER, MAddCounter, Tape, Tensor, backward, trunc_normal
-from .train import AdamW, TrainRecord, accuracy, cross_entropy, gen_synthetic, train_toy
+from .train import (AdamW, TrainRecord, accuracy, cross_entropy, gen_synthetic, train_step,
+                    train_toy)
 from .windows import WindowGeometry, fold, fold_array, in_bounds_mask, unfold, unfold_array
 
 __version__ = "0.1.0"
@@ -73,11 +73,11 @@ __all__ = [
     "Tensor", "TrainRecord", "TransformerBlock", "TwoStageModel",
     "WindowGeometry", "accuracy", "analytic_madds", "backward", "build_layer",
     "build_model", "count_params", "count_params_config", "cross_entropy",
-    "drop_path_schedule", "finite_diff_grad", "fold", "fold_array",
+    "drop_path_masks", "finite_diff_grad", "fold", "fold_array",
     "gen_synthetic", "gradient_check", "in_bounds_mask", "layer_input", "madds",
     "max_abs_error", "measured_madds", "mlp_hidden", "oracle_check",
     "oracle_conv", "oracle_fold", "oracle_local_self_attention",
     "oracle_outlook_attention", "oracle_self_attention", "oracle_unfold",
-    "patchify", "relative_error", "stochastic_depth_mask", "train_toy",
+    "patchify", "relative_error", "train_step", "train_toy",
     "trunc_normal", "unfold", "unfold_array",
 ]

@@ -8,9 +8,9 @@ attention and full self-attention; a stage-1 swap puts the layer that
 the class token, attending over the class and patch tokens.
 
 During training each residual branch can be dropped per sample (stochastic
-depth), and axis 0 of a block's input is the sample axis: a kept branch is
-scaled by 1/(1-rate) so the expectation matches inference, where dropping is
-disabled entirely.
+depth): ``drop_path_masks`` draws every mask of a block stack up front, and a
+block scales each branch along axis 0, the sample axis, by its mask, 0 or
+1/(1-rate), so the expectation matches inference, where no mask is passed.
 """
 
 from __future__ import annotations
@@ -38,14 +38,25 @@ def check_drop_rate(rate: float) -> None:
         raise ContractError(f"drop rate must be in [0, 1), got {rate}")
 
 
-def stochastic_depth_mask(rate: float, batch: int, rng: np.random.Generator) -> np.ndarray:
-    """Per-sample keep mask: 0 with probability ``rate``, else 1/(1-rate)."""
-    rate = float(rate)
-    check_drop_rate(rate)
-    if batch < 1:
-        raise ContractError(f"batch must be >= 1, got {batch}")
-    keep = rng.random(batch) >= rate
-    return keep.astype(np.float64) / (1.0 - rate)
+def drop_path_masks(max_rate: float, depth: int, batch: int, rng) -> list[tuple]:
+    """Every drop-path mask of a stack of ``depth`` residual blocks, in forward order.
+
+    Block i drops at rate max_rate·i/(depth-1).  Each of its branches, the
+    mixer's then the MLP's, draws ``batch`` float64 values from ``rng``: 0 with
+    probability rate, else 1/(1-rate).  A block at rate 0 gets (None, None).
+    """
+    check_drop_rate(max_rate)
+    masks = []
+    for i in range(depth):
+        rate = max_rate * i / max(depth - 1, 1)
+        if rate == 0.0:
+            masks.append((None, None))
+        elif rng is None:
+            raise ContractError("training forward with drop_path_rate > 0 needs an rng")
+        else:
+            masks.append(tuple((rng.random(batch) >= rate).astype(np.float64) / (1.0 - rate)
+                               for _ in range(2)))
+    return masks
 
 
 class LayerNorm(Module):
@@ -78,27 +89,21 @@ class Mlp(Module):
 
 
 class ResidualBlock(Module):
-    """Two pre-norm residual branches, ``mixer`` then an MLP, with optional drop."""
+    """Two pre-norm residual branches, ``mixer`` then an MLP, each scaled by its mask."""
 
-    def __init__(self, mixer, rng, channels, mlp_ratio, drop_path, dtype):
+    def __init__(self, mixer, rng, channels, mlp_ratio, dtype):
         self.norm1 = LayerNorm(channels, dtype=dtype)
         self.mixer = mixer
         self.norm2 = LayerNorm(channels, dtype=dtype)
         self.mlp = Mlp(rng, channels, mlp_ratio, dtype=dtype)
-        check_drop_rate(drop_path)
-        self.drop_path = float(drop_path)
 
-    def _branch(self, t: Tensor, training: bool, rng) -> Tensor:
-        if not training or self.drop_path == 0.0:
-            return t
-        if rng is None:
-            raise ContractError("training forward with drop_path > 0 needs an rng")
-        mask = stochastic_depth_mask(self.drop_path, t.shape[0], rng)
-        return ops.scale(t, mask.astype(t.dtype).reshape((-1,) + (1,) * (t.ndim - 1)))
-
-    def forward(self, x: Tensor, training: bool = False, rng=None) -> Tensor:
-        y = ops.add(x, self._branch(self.mixer(self.norm1(x)), training, rng))
-        return ops.add(y, self._branch(self.mlp(self.norm2(y)), training, rng))
+    def forward(self, x: Tensor, masks=(None, None)) -> Tensor:
+        for norm, branch, mask in zip((self.norm1, self.norm2), (self.mixer, self.mlp), masks):
+            t = branch(norm(x))
+            if mask is not None:
+                t = ops.scale(t, mask.astype(t.dtype).reshape((-1,) + (1,) * (t.ndim - 1)))
+            x = ops.add(x, t)
+        return x
 
     __call__ = forward
 
@@ -107,18 +112,18 @@ class OutlookerBlock(ResidualBlock):
     """Outlook attention + MLP residual pair on a (..., H, W, C) map."""
 
     def __init__(self, rng, channels: int, heads: int, kernel: int = 3, stride: int = 1,
-                 mlp_ratio: float = 3.0, drop_path: float = 0.0, dtype=np.float32):
+                 mlp_ratio: float = 3.0, dtype=np.float32):
         mixer = OutlookAttention(rng, channels, heads, kernel, stride, dtype=dtype)
-        super().__init__(mixer, rng, channels, mlp_ratio, drop_path, dtype)
+        super().__init__(mixer, rng, channels, mlp_ratio, dtype)
 
 
 class TransformerBlock(ResidualBlock):
     """Full self-attention + MLP residual pair on a (..., L, C) token list."""
 
     def __init__(self, rng, channels: int, heads: int, mlp_ratio: float = 3.0,
-                 drop_path: float = 0.0, dtype=np.float32):
+                 dtype=np.float32):
         mixer = SelfAttention(rng, channels, heads, dtype=dtype)
-        super().__init__(mixer, rng, channels, mlp_ratio, drop_path, dtype)
+        super().__init__(mixer, rng, channels, mlp_ratio, dtype)
 
 
 class ClassAttentionBlock(MultiHeadCore):
@@ -151,8 +156,3 @@ class ClassAttentionBlock(MultiHeadCore):
         return ops.add(cls, self.mlp(self.norm2(cls)))
 
     __call__ = forward
-
-
-def drop_path_schedule(max_rate: float, depth: int) -> list[float]:
-    """Linear ramp 0 → max_rate across a stack of ``depth`` blocks."""
-    return [max_rate * i / max(depth - 1, 1) for i in range(depth)]

@@ -36,7 +36,7 @@ from .blocks import (
     ResidualBlock,
     TransformerBlock,
     check_drop_rate,
-    drop_path_schedule,
+    drop_path_masks,
     mlp_hidden,
 )
 from .errors import ContractError, ShapeError
@@ -208,13 +208,13 @@ def patchify(t: Tensor, patch: int) -> Tensor:
     return ops.reshape(t, (*lead, height // patch, width // patch, patch * patch * channels))
 
 
-def _stage1_block(rng, config: ModelConfig, rate: float, dtype):
+def _stage1_block(rng, config: ModelConfig, dtype):
     c1, heads, ratio = config.stage1_dim, config.outlooker_heads, config.outlooker_mlp_ratio
     if config.stage1_kind == "outlook":
-        return OutlookerBlock(rng, c1, heads, config.kernel, config.stride, ratio, rate, dtype)
+        return OutlookerBlock(rng, c1, heads, config.kernel, config.stride, ratio, dtype)
     g1 = config.stage1_grid
     mixer = build_layer(config.stage1_kind, CostQuery(g1, g1, c1, config.kernel, heads), rng, dtype)
-    return ResidualBlock(mixer, rng, c1, ratio, rate, dtype)
+    return ResidualBlock(mixer, rng, c1, ratio, dtype)
 
 
 class TwoStageModel(Module):
@@ -224,20 +224,17 @@ class TwoStageModel(Module):
         self.config = config
         self.dtype = dtype
         c1, c2 = config.stage1_dim, config.stage2_dim
-        rates = drop_path_schedule(config.drop_path_rate, config.total_layers)
 
         self.stem = Stem(rng, c1, dtype=dtype)
-        self.stage1 = [
-            _stage1_block(rng, config, rates[i], dtype) for i in range(config.num_outlookers)
-        ]
+        self.stage1 = [_stage1_block(rng, config, dtype) for _ in range(config.num_outlookers)]
         self.down_w = _param(rng, (DOWNSAMPLE ** 2 * c1, c2), dtype)
         self.down_b = _zeros(c2, dtype)
         grid2 = config.stage2_grid
         self.pos_embed = _param(rng, (grid2 * grid2, c2), dtype)
         self.stage2 = [
             TransformerBlock(rng, c2, config.transformer_heads, config.transformer_mlp_ratio,
-                             rates[config.num_outlookers + i], dtype=dtype)
-            for i in range(config.num_transformers)
+                             dtype=dtype)
+            for _ in range(config.num_transformers)
         ]
         self.cls_token = _param(rng, (1, c2), dtype)
         self.class_blocks = [
@@ -254,7 +251,8 @@ class TwoStageModel(Module):
 
         The whole batch runs through one forward.  Raises ``ShapeError`` for
         a batch of 0 or any other resolution (the position table is not
-        interpolated) and ``ContractError`` when an image holds NaN or ±inf.
+        interpolated), and ``ContractError`` for NaN or ±inf in an image or
+        for ``training`` at a drop-path rate > 0 without an ``rng``.
         """
         if not isinstance(images, Tensor):
             images = Tensor(np.asarray(images), dtype=self.dtype)
@@ -269,14 +267,16 @@ class TwoStageModel(Module):
         if not np.isfinite(images.data).all():
             raise ContractError("images contain NaN or infinite values")
         batch = images.shape[0]
+        rate = self.config.drop_path_rate if training else 0.0   # rate 0 draws nothing
+        masks = iter(drop_path_masks(rate, self.config.total_layers, batch, rng))
         t = self.stem(images)
         for blk in self.stage1:
-            t = blk.forward(t, training=training, rng=rng)
+            t = blk.forward(t, next(masks))
         t = ops.linear(patchify(t, DOWNSAMPLE), self.down_w, self.down_b)
         t = ops.reshape(t, (batch, self.config.stage2_grid ** 2, self.config.stage2_dim))
         t = ops.add(t, ops.expand(self.pos_embed, batch))
         for blk in self.stage2:
-            t = blk.forward(t, training=training, rng=rng)
+            t = blk.forward(t, next(masks))
         cls = ops.expand(self.cls_token, batch)
         for blk in self.class_blocks:
             cls = blk.forward(cls, t)

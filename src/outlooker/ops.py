@@ -34,6 +34,9 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SHORT_ROW = 16     # longest row whose max and sum are taken column by column
 _LN_EPS = 1e-5      # added to the LayerNorm variance
 _GELU_BLOCK_BYTES = 1 << 18    # per GELU scratch buffer: 65,536 float32 values
+# |x| past which exp(-x²/2) is 0 in float32 and float64 (float64 underflows past
+# 38.6); GELU's derivative clamps x to it before squaring, so x² cannot overflow
+_GELU_EXP_BOUND = 40.0
 # Eigen's generic_fast_erf_float: erf(z) = z·P(z²) / Q(z²) on |z| <= 4,
 # coefficients from the highest power down
 _ERF32_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
@@ -467,8 +470,10 @@ def gelu(x: Tensor) -> Tensor:
         np.multiply(phi, 0.5, out=phi)
         np.multiply(xb, phi, out=out_flat[start:stop])
         if deriv is not None:                          # phi + x * exp(-x²/2) / √(2π)
-            np.multiply(xb, -0.5, out=t)
-            np.multiply(t, xb, out=t)
+            xc = u_buf[:n]
+            xb.clip(-_GELU_EXP_BOUND, _GELU_EXP_BOUND, xc)
+            np.multiply(xc, -0.5, out=t)
+            np.multiply(t, xc, out=t)
             np.exp(t, out=t)
             np.multiply(t, _INV_SQRT_2PI, out=t)
             np.multiply(xb, t, out=t)

@@ -1,4 +1,4 @@
-"""Toy training harness: synthetic data, cross-entropy, AdamW, fit loop.
+"""Toy training harness: synthetic data, cross-entropy, AdamW, one step, fit loop.
 
 The dataset is deliberately easy (each class is a fixed low-frequency
 wave pattern plus Gaussian noise), so a small model separates it within
@@ -171,6 +171,23 @@ def accuracy(model: TwoStageModel, images: np.ndarray, labels: np.ndarray) -> fl
     return int(np.sum(np.argmax(logits.data, axis=1) == labels)) / len(images)
 
 
+def train_step(model: TwoStageModel, opt: AdamW, images: np.ndarray, labels: np.ndarray,
+               rng: np.random.Generator) -> float:
+    """Taped forward, loss, backward and AdamW step on one batch; returns the loss.
+
+    Drop-path masks are drawn from ``rng``.  A loss that is not finite raises
+    DivergenceError, at step ``opt.step_count``, before any parameter moves.
+    """
+    with Tape() as tape:
+        loss = cross_entropy(model.forward(images, training=True, rng=rng), labels)
+        value = float(loss.item())
+        if not math.isfinite(value):
+            raise DivergenceError(f"loss {value} at step {opt.step_count}")
+        grads = backward(loss, tape)
+    opt.step(grads)
+    return value
+
+
 def train_toy(
     config: ModelConfig | None = None,
     steps: int = 500,
@@ -204,15 +221,7 @@ def train_toy(
         if warmup > 0:
             opt.lr = lr * min(1.0, (step + 1) / warmup)
         take = rng.choice(len(images), size=min(batch_size, len(images)), replace=False)
-        with Tape() as tape:
-            logits = model.forward(Tensor(images[take], dtype=model.dtype),
-                                   training=True, rng=rng)
-            loss = cross_entropy(logits, labels[take])
-            value = float(loss.item())
-            if not math.isfinite(value):
-                raise DivergenceError(f"loss {value} at step {step}")
-            grads = backward(loss, tape)
-        opt.step(grads)
+        value = train_step(model, opt, images[take], labels[take], rng)
         record.losses.append(value)
         if log_every and (step + 1) % log_every == 0:
             print(f"step {step + 1:>4}  loss {value:.4f}")

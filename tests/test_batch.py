@@ -12,6 +12,7 @@ from outlooker import (
     SelfAttention,
     Tensor,
     TransformerBlock,
+    drop_path_masks,
     ops,
 )
 from outlooker.oracle import relative_error
@@ -63,14 +64,15 @@ def test_batched_class_attention_equals_stacked_samples(rng):
 
 
 def test_identical_samples_get_independent_drop_path_masks(rng):
-    # 16 copies of one sample at rate 0.5: each row must be one of the four
-    # keep/drop outcomes of the two branches, and the rows must not all agree
-    block = TransformerBlock(np.random.default_rng(0), 8, 2, 3.0, drop_path=0.5,
-                             dtype=np.float64)
+    # 16 copies of one sample through the second of two blocks, at rate 0.5:
+    # each row must be one of the four keep/drop outcomes of the two
+    # branches, and the rows must not all agree
+    block = TransformerBlock(np.random.default_rng(0), 8, 2, 3.0, dtype=np.float64)
     _randomize(block, rng)
     sample = Tensor(rng.standard_normal((5, 8)), dtype=np.float64)
     x = Tensor(np.repeat(sample.data[None], 16, axis=0), dtype=np.float64)
-    out = block.forward(x, training=True, rng=np.random.default_rng(3)).data
+    masks = drop_path_masks(0.5, 2, 16, np.random.default_rng(3))[1]
+    out = block.forward(x, masks).data
 
     outcomes = []
     for keep_mix in (0.0, 2.0):

@@ -313,6 +313,19 @@ class TestGeluNode:
         assert got.dtype == dtype
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_huge_inputs_give_phi_without_overflow(self, dtype):
+        # x² overflows long after exp(-x²/2) has reached 0; the derivative
+        # clamps x before squaring, so it is exactly Phi(x), 1 or 0 here
+        big = [1e20, 3e38] + ([1e308] if dtype == np.float64 else [])
+        d = np.array(big + [-v for v in big], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, deriv = _gelu_and_derivative(lambda: Tensor(d, requires_grad=True))
+        phi = _phi32(d) if dtype == np.float32 else _phi64(d)
+        np.testing.assert_array_equal(phi, (d > 0).astype(dtype))
+        np.testing.assert_array_equal(deriv, phi)
+
     def test_untaped_output_bit_equal_to_taped(self, rng):
         d = rng.standard_normal((3, 8)).astype(np.float32)
         untaped = ops.gelu(Tensor(d, requires_grad=True)).data

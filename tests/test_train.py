@@ -1,19 +1,54 @@
 """Synthetic data, the loss, the optimizer, and the toy fit loop."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from outlooker import (
+    PRESETS,
     AdamW,
     ContractError,
     DivergenceError,
+    Tape,
     Tensor,
+    backward,
+    build_model,
     cross_entropy,
     gen_synthetic,
+    train_step,
     train_toy,
 )
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def inline_loop_losses(steps, lr=2e-3, batch_size=8, weight_decay=0.01, warmup=50,
+                       per_class=8, noise=0.25, seed=0):
+    """``train_toy``'s losses from its loop written out in full, step by step."""
+    config = PRESETS["tiny"]
+    model = build_model(config, seed=seed)
+    images, labels = gen_synthetic(config.num_classes, config.image_size,
+                                   per_class=per_class, noise=noise, seed=seed)
+    opt = AdamW(model.parameters(), lr=lr, weight_decay=weight_decay)
+    rng = np.random.default_rng(seed + 1)
+    losses = []
+    for step in range(steps):
+        if warmup > 0:
+            opt.lr = lr * min(1.0, (step + 1) / warmup)
+        take = rng.choice(len(images), size=min(batch_size, len(images)), replace=False)
+        with Tape() as tape:
+            logits = model.forward(Tensor(images[take], dtype=model.dtype),
+                                   training=True, rng=rng)
+            loss = cross_entropy(logits, labels[take])
+            value = float(loss.item())
+            if not math.isfinite(value):
+                raise DivergenceError(f"loss {value} at step {step}")
+            grads = backward(loss, tape)
+        opt.step(grads)
+        losses.append(value)
+    return losses
 
 
 class TestSyntheticData:
@@ -173,3 +208,33 @@ class TestTrainToy:
         blob = record.to_dict()
         assert blob["steps"] == 2
         assert len(blob["losses"]) == 2
+
+    def test_losses_bit_equal_to_inline_loop(self):
+        assert train_toy(steps=20).losses == inline_loop_losses(20)
+
+
+class TestTrainStep:
+    def test_non_finite_loss_moves_no_parameter(self):
+        model = build_model(PRESETS["tiny"], seed=0)
+        images, labels = gen_synthetic(per_class=1)
+        opt = AdamW(model.parameters(), lr=1e-3, weight_decay=0.01)
+        rng = np.random.default_rng(1)
+        assert math.isfinite(train_step(model, opt, images[:4], labels[:4], rng))
+        model.head_b.data[0] = np.nan
+        before = [p.data.copy() for p in model.parameters()]
+        with pytest.raises(DivergenceError, match="^loss nan at step 1$"):
+            train_step(model, opt, images[:4], labels[:4], rng)
+        assert opt.step_count == 1
+        for p, was in zip(model.parameters(), before):
+            np.testing.assert_array_equal(p.data, was)
+
+    def test_benchmark_training_gate_holds(self):
+        # perfbench's tiny-train-b8 steps the training loop from outside, and its
+        # prepare gate requires train_toy's losses to match that loop bit for
+        # bit; a break fails here rather than as a benchmark run's failed gate
+        namespace: dict = {"__name__": "workloads"}
+        exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), namespace)
+        workload = namespace["TinyTrain"]()
+        workload.setup(0)
+        losses = [workload.step() for _ in range(workload.warmup)]
+        assert workload.prepare(0, losses) == []
