@@ -40,14 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .errors import ShapeError
+from .errors import ShapeError, check_count
 from .tensor import MADD_COUNTER, Tensor, from_op, trunc_normal
 from .windows import (
     WindowGeometry,
     _fold_band,
-    _padded_slab,
     _unfold_band,
-    _window_view,
     check_heads,
     check_window,
     in_bounds_mask,
@@ -74,7 +72,15 @@ class Module:
     Modules under ``name.i.``.  Order is attribute assignment order in
     ``__init__`` (``vars`` keeps it), so ``stage1.2.mixer.w_v`` names the
     value projection of the third stage-1 block.
+
+    A subclass's own ``forward`` is bound as its ``__call__`` too, the same
+    function, so a wrapper of either method sees one call, not two nested.
     """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "forward" in vars(cls):
+            cls.__call__ = cls.forward
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         out = []
@@ -175,8 +181,6 @@ class OutlookAttention(Module):
         logits = ops.linear(pooled, self.w_a, self.b_a)       # (..., h, w, heads·K⁴)
         return ops.linear(_outlook_core(logits, values, geom, self.heads), self.w_o, self.b_o)
 
-    __call__ = forward
-
 
 def _per_piece(n: int, unit_bytes: int) -> int:
     """How many of ``n`` units fit in ``_PIECE_BYTES``: at least 1, at most ``n``."""
@@ -253,8 +257,6 @@ class LocalSelfAttention(MultiHeadCore):
             raise ShapeError(f"expected (..., H, W, {self.channels}), got {x.shape}")
         return self.attend(x, x)
 
-    __call__ = forward
-
     def mix(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         *lead, height, width, channels = q.shape
         geom = WindowGeometry(height, width, self.kernel)
@@ -283,8 +285,6 @@ class SelfAttention(MultiHeadCore):
             raise ShapeError(f"expected (..., L, {self.channels}), got {x.shape}")
         return self.attend(x, x)
 
-    __call__ = forward
-
 
 class Conv2d(Module):
     """K×K cross-correlation with zero padding ⌊K/2⌋ and bias, as one tape node.
@@ -296,14 +296,17 @@ class Conv2d(Module):
     call; the backward folds a band's g·Wᵀ onto the input gradient
     (``_fold_band``, the unfold's adjoint), last band first, which adds every
     token's terms in ``fold_array``'s slot order.  Before that, the weight
-    gradient reads one padded copy of the input a group of kernel rows at a
-    time, each element one sum over all windows.  So every element is the
-    same sum in the same order at any piece size.
+    gradient unfolds the input a group of kernel rows at a time
+    (``_unfold_band``'s ``kernel_rows``) over the whole grid, each element one
+    sum over all windows.  So every element is the same sum in the same order
+    at any piece size.
     """
 
     def __init__(self, rng, kernel: int, cin: int, cout: int, stride: int = 1,
                  dtype=np.float32):
         check_window(kernel, stride)
+        check_count(cin, "cin", ShapeError)
+        check_count(cout, "cout", ShapeError)
         self.kernel = kernel
         self.cin = cin
         self.cout = cout
@@ -332,15 +335,13 @@ class Conv2d(Module):
 
         def backward_fn(g):
             g2 = g.reshape(-1, cout)
-            view = _window_view(_padded_slab(xdata, geom, slice(0, h)), geom, 1)
             gw = np.empty((row, cout), dtype=xdata.dtype)
             group = _per_piece(k, math.prod(lead) * h * w * k * cin * itemsize)
             for dp in range(0, k, group):
                 lo, hi = dp * k * cin, min(dp + group, k) * k * cin
-                slab = np.ascontiguousarray(view[..., 0, dp : dp + group, :, :])
-                gw[lo:hi] = slab.reshape(-1, hi - lo).T @ g2
-                del slab
-            del view        # the padded input is freed before the input gradient
+                stack = _unfold_band(xdata, geom, 1, slice(0, h), slice(dp, dp + group))
+                gw[lo:hi] = stack.reshape(-1, hi - lo).T @ g2
+                del stack
             gx = None
             if needs_gx:
                 gx = np.zeros(xdata.shape, dtype=xdata.dtype)
@@ -351,8 +352,6 @@ class Conv2d(Module):
             return gx, gw.reshape(weight_shape), g2.sum(axis=0)
 
         return from_op(out, (x, self.weight, self.bias), backward_fn)
-
-    __call__ = forward
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +370,7 @@ class CostQuery:
 
     def __post_init__(self):
         for name in ("height", "width", "channels", "kernel", "heads"):
-            if getattr(self, name) < 1:
-                raise ShapeError(f"CostQuery.{name} must be positive")
+            check_count(getattr(self, name), f"CostQuery.{name}", ShapeError)
 
 
 LAYER_KINDS = ("oa", "lsa", "sa", "conv")

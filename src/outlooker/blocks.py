@@ -19,12 +19,13 @@ import numpy as np
 
 from . import ops
 from .attention import Module, MultiHeadCore, OutlookAttention, SelfAttention, _param, _zeros
-from .errors import ContractError, ShapeError
+from .errors import ContractError, ShapeError, check_count
 from .tensor import Tensor
 
 
 def mlp_hidden(channels: int, ratio: float) -> int:
     """Hidden width ratio·C, required to be a finite, exact positive integer."""
+    check_count(channels, "channels", ShapeError)
     hidden = channels * ratio
     rounded = int(round(hidden)) if np.isfinite(hidden) else 0
     if abs(hidden - rounded) > 1e-9 or rounded < 1:
@@ -63,13 +64,12 @@ class LayerNorm(Module):
     """Learnable scale/shift around last-axis normalization."""
 
     def __init__(self, channels: int, dtype=np.float32):
+        check_count(channels, "channels", ShapeError)
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         return ops.layer_norm(x, self.gamma, self.beta)
-
-    __call__ = forward
 
 
 class Mlp(Module):
@@ -84,8 +84,6 @@ class Mlp(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return ops.linear(ops.gelu(ops.linear(x, self.w1, self.b1)), self.w2, self.b2)
-
-    __call__ = forward
 
 
 class ResidualBlock(Module):
@@ -104,8 +102,6 @@ class ResidualBlock(Module):
                 t = ops.scale(t, mask.astype(t.dtype).reshape((-1,) + (1,) * (t.ndim - 1)))
             x = ops.add(x, t)
         return x
-
-    __call__ = forward
 
 
 class OutlookerBlock(ResidualBlock):
@@ -154,5 +150,3 @@ class ClassAttentionBlock(MultiHeadCore):
         u = self.norm1(ops.concat([cls_token, patches], axis=axis))     # (..., L+1, C)
         cls = ops.add(cls_token, self.attend(ops.narrow(u, axis, 0, 1), u))
         return ops.add(cls, self.mlp(self.norm2(cls)))
-
-    __call__ = forward

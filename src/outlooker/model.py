@@ -39,7 +39,7 @@ from .blocks import (
     drop_path_masks,
     mlp_hidden,
 )
-from .errors import ContractError, ShapeError
+from .errors import ContractError, ShapeError, check_count
 from .tensor import Tensor
 from .windows import WindowGeometry, check_heads, check_window
 
@@ -191,14 +191,13 @@ class Stem(Module):
         t = patchify(t, STEM_PATCH)
         return ops.linear(t, self.proj_w, self.proj_b)
 
-    __call__ = forward
-
 
 def patchify(t: Tensor, patch: int) -> Tensor:
     """(B, H, W, C) → (B, H/p, W/p, p²·C) by non-overlapping row-major tiling.
 
     Any number of leading axes (including none) carries through.
     """
+    check_count(patch, "patch", ShapeError)
     *lead, height, width, channels = t.shape
     if height % patch or width % patch:
         raise ShapeError(f"map {height}x{width} not divisible by patch {patch}")
@@ -282,8 +281,6 @@ class TwoStageModel(Module):
             cls = blk.forward(cls, t)
         logits = ops.linear(self.final_norm(cls), self.head_w, self.head_b)
         return ops.reshape(logits, (batch, self.config.num_classes))
-
-    __call__ = forward
 
 
 def build_model(config: ModelConfig, seed: int = 0, dtype=np.float32) -> TwoStageModel:

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError, ShapeError, check_count
 from .tensor import MADD_COUNTER, Tensor, active_tape, from_op
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -156,10 +156,7 @@ def expand(x: Tensor, batch: int) -> Tensor:
 
     The backward sums the gradient over the new axis.
     """
-    if not isinstance(batch, (int, np.integer)) or isinstance(batch, bool):
-        raise ShapeError(f"expand batch must be an int, got {batch!r}")
-    if batch < 1:
-        raise ShapeError(f"expand batch must be >= 1, got {batch}")
+    check_count(batch, "expand batch", ShapeError)
     data = np.broadcast_to(x.data, (batch, *x.shape))
     return from_op(data, (x,), lambda g: (g.sum(axis=0),))
 
@@ -500,9 +497,8 @@ def avg_pool(x: Tensor, stride: int) -> Tensor:
     their in-bounds count, so the padding never enters a mean.  The backward
     spreads g / count evenly over each cell.
     """
-    s = int(stride)
-    if s < 1:
-        raise ShapeError(f"avg_pool stride must be >= 1, got {s}")
+    check_count(stride, "avg_pool stride", ShapeError)
+    s = stride
     if x.ndim < 3:
         raise ShapeError(f"avg_pool expects (..., H, W, C), got {x.shape}")
     if s == 1:

@@ -14,17 +14,16 @@ attention multiplies: head ``n`` of a slot holds channels n·C/N to
 (n + 1)·C/N of its token.  ``heads`` defaults to 1, which gives one
 (K², C) block per window, read by a convolution as one K²·C row.
 
-One strided view decides that layout: over a zero-padded map it shapes the
-windows (..., h, w, N, K, K, C/N) with no copy, splitting the channels as
-(N, C/N) and putting the head axis before the window slots.
-``_padded_slab`` is the one padding routine: it copies the map rows a band
-of window rows reads into a zeroed slab.
 The array kernels work on a band of window rows, so a caller can walk the
 grid without holding the whole stack, as outlook attention's window core
-and ``Conv2d`` do: ``_unfold_band`` copies a band's windows out of its
-padded slab, and ``_fold_band`` scatter-adds a band's stack rows onto an
-unpadded map slot by slot, skipping the windows whose slot lands in the
-padding.  ``unfold_array`` and ``fold_array`` are their whole-grid case.
+and ``Conv2d`` do.  ``_unfold_band`` is the one routine that pads a map and
+views its windows: it copies the map rows a band reads into a zeroed slab,
+shapes the slab's windows (..., h, w, N, K, K, C/N) with one strided view,
+no copy, splitting the channels as (N, C/N) and putting the head axis before
+the window slots, and copies out all K kernel rows or the ones a caller asks
+for.  ``_fold_band`` scatter-adds a band's stack rows onto an unpadded map
+slot by slot, skipping the windows whose slot lands in the padding.
+``unfold_array`` and ``fold_array`` are their whole-grid case.
 ``fold`` is the exact linear adjoint of ``unfold``: ⟨unfold(x), y⟩ =
 ⟨x, fold(y)⟩, which is also how the two ops provide each other's backward.
 Only odd kernels are supported: an even window has no center token.
@@ -37,21 +36,23 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import GeometryError, ShapeError
+from .errors import GeometryError, ShapeError, check_count
 from .tensor import Tensor, from_op
 
 
 def check_window(kernel: int, stride: int = 1) -> None:
-    """Reject an even or non-positive kernel and a stride below 1."""
-    if kernel < 1 or kernel % 2 == 0:
-        raise GeometryError(f"kernel must be odd and positive, got K={kernel}")
-    if stride < 1:
-        raise GeometryError(f"stride must be >= 1, got {stride}")
+    """Reject a kernel that is not an odd count and a stride that is not a count."""
+    check_count(kernel, "kernel", GeometryError)
+    check_count(stride, "stride", GeometryError)
+    if kernel % 2 == 0:
+        raise GeometryError(f"kernel must be odd, got K={kernel}")
 
 
 def check_heads(channels: int, heads: int) -> None:
-    """Reject a head count that is not a positive divisor of the channels."""
-    if heads < 1 or channels % heads != 0:
+    """Reject channel and head counts unless the heads divide the channels."""
+    check_count(channels, "channels", ShapeError)
+    check_count(heads, "heads", ShapeError)
+    if channels % heads != 0:
         raise ShapeError(f"channels {channels} not divisible by heads {heads}")
 
 
@@ -69,8 +70,8 @@ class WindowGeometry:
 
     def __post_init__(self):
         check_window(self.kernel, self.stride)
-        if self.height < 1 or self.width < 1:
-            raise GeometryError(f"map extent must be positive, got {self.height}x{self.width}")
+        check_count(self.height, "map height", GeometryError)
+        check_count(self.width, "map width", GeometryError)
 
     @property
     def padding(self) -> int:
@@ -89,24 +90,13 @@ class WindowGeometry:
         return self.out_height * self.out_width
 
 
-def _window_view(padded: np.ndarray, geom: WindowGeometry, heads: int) -> np.ndarray:
-    """Every window of a zero-padded (..., rows, W + 2p, C) map, with no copy.
+def _unfold_band(x: np.ndarray, geom: WindowGeometry, heads: int, rows: slice,
+                 kernel_rows: slice = slice(None)) -> np.ndarray:
+    """The windows of window rows ``rows``: (..., H, W, C) → (..., rows·w, N, R·K, C/N).
 
-    Shaped (..., h', w, N, K, K, C/N): window row a starts at the map's row
-    a·s, and h' = (rows − K) // s + 1 window rows fit.
-    """
-    *lead, rows, _, channels = padded.shape
-    *lead_strides, row, col, chan = padded.strides
-    k, s, cn = geom.kernel, geom.stride, channels // heads
-    shape = (*lead, (rows - k) // s + 1, geom.out_width, heads, k, k, cn)
-    return as_strided(padded, shape, (*lead_strides, s * row, s * col, cn * chan, row, col, chan))
-
-
-def _padded_slab(x: np.ndarray, geom: WindowGeometry, rows: slice) -> np.ndarray:
-    """The zero-padded map rows that window rows ``rows`` read, copied from ``x``.
-
-    (..., H, W, C) → (..., (n − 1)·s + K, W + 2p, C) for n window rows; the
-    slab's first row is the map's row ``rows.start``·s − p.
+    Only the kernel rows ``kernel_rows`` are kept, R of them (all K by
+    default).  The zero-padded slab the band reads starts at the map's row
+    ``rows.start``·s − p; window row a of the band starts at the slab's row a·s.
     """
     *lead, height, width, channels = x.shape
     k, s, p, n = geom.kernel, geom.stride, geom.padding, rows.stop - rows.start
@@ -114,15 +104,12 @@ def _padded_slab(x: np.ndarray, geom: WindowGeometry, rows: slice) -> np.ndarray
     slab = np.zeros((*lead, (n - 1) * s + k, width + 2 * p, channels), dtype=x.dtype)
     lo, hi = max(top, 0), min(top + slab.shape[-3], height)
     slab[..., lo - top : hi - top, p : p + width, :] = x[..., lo:hi, :, :]
-    return slab
-
-
-def _unfold_band(x: np.ndarray, geom: WindowGeometry, heads: int, rows: slice) -> np.ndarray:
-    """The windows of window rows ``rows``: (..., H, W, C) → (..., rows·w, N, K², C/N)."""
-    *lead, _, _, channels = x.shape
-    n, k = rows.stop - rows.start, geom.kernel
-    stack = np.ascontiguousarray(_window_view(_padded_slab(x, geom, rows), geom, heads))
-    return stack.reshape(*lead, n * geom.out_width, heads, k * k, channels // heads)
+    *lead_strides, row, col, chan = slab.strides
+    cn = channels // heads
+    view = as_strided(slab, (*lead, n, geom.out_width, heads, k, k, cn),
+                      (*lead_strides, s * row, s * col, cn * chan, row, col, chan))
+    stack = np.ascontiguousarray(view[..., kernel_rows, :, :])
+    return stack.reshape(*lead, n * geom.out_width, heads, stack.shape[-3] * k, cn)
 
 
 def _fold_band(acc: np.ndarray, y: np.ndarray, geom: WindowGeometry, rows: slice) -> None:

@@ -80,6 +80,31 @@ class TestConstruction:
         with pytest.raises(GeometryError):
             Conv2d(rng, 3, 3, 8, stride=0)
 
+    # a count is a positive int, never a float or a bool: window geometry
+    # raises GeometryError, channel and head counts ShapeError
+    @pytest.mark.parametrize("build, error", [
+        (lambda rng: OutlookAttention(rng, 4, 2, 3.0), GeometryError),
+        (lambda rng: OutlookAttention(rng, 4, 2, stride=True), GeometryError),
+        (lambda rng: OutlookAttention(rng, 4.0, 2), ShapeError),
+        (lambda rng: OutlookAttention(rng, 4, True), ShapeError),
+        (lambda rng: LocalSelfAttention(rng, 4, 2, 3.0), GeometryError),
+        (lambda rng: SelfAttention(rng, 4, 2.0), ShapeError),
+        (lambda rng: SelfAttention(rng, 0, 1), ShapeError),
+        (lambda rng: Conv2d(rng, 3, 2, 2, stride=2.0), GeometryError),
+        (lambda rng: Conv2d(rng, 3.0, 2, 2), GeometryError),
+        (lambda rng: Conv2d(rng, 3, -1, 4), ShapeError),
+        (lambda rng: Conv2d(rng, 3, 0, 4), ShapeError),
+        (lambda rng: Conv2d(rng, 3, 2, 0), ShapeError),
+        (lambda rng: Conv2d(rng, 3, 2.0, 4), ShapeError),
+        (lambda rng: Conv2d(rng, 3, True, 4), ShapeError),
+    ], ids=["oa_kernel_float", "oa_stride_bool", "oa_channels_float", "oa_heads_bool",
+            "lsa_kernel_float", "sa_heads_float", "sa_channels_zero", "conv_stride_float",
+            "conv_kernel_float", "conv_cin_negative", "conv_cin_zero", "conv_cout_zero",
+            "conv_cin_float", "conv_cin_bool"])
+    def test_non_count_rejected(self, build, error):
+        with pytest.raises(error):
+            build(np.random.default_rng(0))
+
     def test_wa_parameter_count_at_example_width(self):
         layer = OutlookAttention(np.random.default_rng(0), 192, 6, 3)
         assert layer.w_a.size + layer.b_a.size == 93_798
@@ -186,9 +211,10 @@ class TestConvTapeNode:
         assert peak <= out.data.nbytes + 2.5 * _PIECE_BYTES
 
     def test_backward_holds_one_padded_input_and_one_slab(self, rng):
-        # the stem's 3×3 conv: the weight gradient reads one padded copy of
-        # the input a kernel row at a time, and it is freed before the input
-        # gradient is folded band by band onto an unpadded map
+        # the stem's 3×3 conv: the weight gradient unfolds the input a kernel
+        # row at a time, each row's stack from its own padded copy, and both
+        # are freed before the input gradient is folded band by band onto an
+        # unpadded map
         conv = Conv2d(np.random.default_rng(3), 3, 64, 64)
         x = Tensor(rng.standard_normal((1, 112, 112, 64)), dtype=np.float32,
                    requires_grad=True)
@@ -502,6 +528,13 @@ class TestCostModel:
     def test_query_validation(self):
         with pytest.raises(ShapeError):
             CostQuery(0, 4, 8)
+
+    @pytest.mark.parametrize("args", [(4, 4, 4.5, 3, 2), (4.0, 4, 8), (4, 4, 8, True),
+                                      (4, 4, 8, 3, 2.0)],
+                             ids=["channels_float", "height_float", "kernel_bool", "heads_float"])
+    def test_query_non_count_rejected(self, args):
+        with pytest.raises(ShapeError):
+            CostQuery(*args)
 
     @pytest.mark.parametrize("kind", ["sa", "lsa", "oa", "conv"])
     def test_measured_equals_analytic_exactly(self, kind):

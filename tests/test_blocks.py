@@ -67,6 +67,13 @@ class TestMlpSizing:
         with pytest.raises(ShapeError):
             mlp_hidden(192, ratio)
 
+    @pytest.mark.parametrize("channels", [4.5, True, 0], ids=["float", "bool", "zero"])
+    def test_non_count_channels_rejected(self, channels):
+        with pytest.raises(ShapeError):
+            mlp_hidden(channels, 2.0)
+        with pytest.raises(ShapeError):
+            Mlp(np.random.default_rng(0), channels, 2.0)
+
     def test_mlp_forward_matches_composition(self, rng):
         mlp = Mlp(np.random.default_rng(0), 8, 3.0, dtype=np.float64)
         x = Tensor(rng.standard_normal((5, 8)), dtype=np.float64)
@@ -136,6 +143,11 @@ class TestLayerNormModule:
         x = Tensor(rng.standard_normal((4, 6)), dtype=np.float64)
         want = ops.layer_norm(x, norm.gamma, norm.beta)
         np.testing.assert_allclose(norm(x).data, want.data)
+
+    @pytest.mark.parametrize("channels", [2.5, True, 0], ids=["float", "bool", "zero"])
+    def test_non_count_channels_rejected(self, channels):
+        with pytest.raises(ShapeError):
+            LayerNorm(channels)
 
 
 @pytest.mark.parametrize(

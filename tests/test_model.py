@@ -177,6 +177,11 @@ class TestPatchify:
         with pytest.raises(ShapeError):
             patchify(Tensor(np.zeros((5, 4, 1))), 2)
 
+    @pytest.mark.parametrize("patch", [2.0, True, 0], ids=["float", "bool", "zero"])
+    def test_non_count_patch_rejected(self, patch):
+        with pytest.raises(ShapeError):
+            patchify(Tensor(np.zeros((4, 4, 1))), patch)
+
 
 class TestStem:
     def test_zero_image_maps_to_zero_tokens(self):

@@ -18,6 +18,7 @@ from outlooker import (
     ops,
     windows,
 )
+from outlooker.attention import Module
 from outlooker.model import Stem
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -76,11 +77,39 @@ def _traced_classes():
     return [cls for cls, _ in _tracer_namespace()["MODULES"]]
 
 
-@pytest.mark.parametrize("cls", _traced_classes(), ids=lambda cls: cls.__name__)
+def _forward_classes():
+    """The tracer's classes and every package Module subclass that has a forward."""
+    found, todo = set(_traced_classes()), [Module]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("outlooker.") and hasattr(sub, "forward"):
+                found.add(sub)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("cls", _forward_classes(), ids=lambda cls: cls.__name__)
 def test_call_is_forward(cls):
     # the benchmark tracer wraps forward and __call__ separately; a __call__
     # that called forward would nest two spans of the same name
     assert cls.__call__ is cls.forward
+
+
+def test_subclass_forward_is_bound_as_call():
+    class Base(Module):
+        def forward(self, x):
+            return x + 1
+
+    class Inherits(Base):
+        pass
+
+    class Overrides(Base):
+        def forward(self, x):
+            return x + 2
+
+    assert Base.__call__ is Base.forward and Inherits.__call__ is Base.forward
+    assert Overrides.__call__ is Overrides.forward
+    assert (Base()(0), Inherits()(0), Overrides()(0)) == (1, 1, 2)
 
 
 def test_tracer_patch_points_all_fire():

@@ -558,11 +558,14 @@ def _zeros(*shape) -> Tensor:
     lambda: ops.layer_norm(_zeros(2, 3), _zeros(4), _zeros(3)),
     lambda: ops.layer_norm(_zeros(3, 0), _zeros(0), _zeros(0)),
     lambda: ops.avg_pool(_zeros(2, 2, 3), 0),
+    lambda: ops.avg_pool(_zeros(4, 4, 3), 2.7),
+    lambda: ops.avg_pool(_zeros(4, 4, 3), True),
     lambda: ops.avg_pool(_zeros(2, 3), 2),
 ], ids=["matmul_rank1", "linear_rank3_weight", "linear_misaligned", "linear_bias_shape",
         "expand_zero", "expand_float", "expand_bool", "permute_bad_axes", "concat_empty",
         "narrow_bad_axis", "narrow_bad_range", "layer_norm_gamma", "layer_norm_empty_row",
-        "avg_pool_stride_zero", "avg_pool_rank2"])
+        "avg_pool_stride_zero", "avg_pool_stride_float", "avg_pool_stride_bool",
+        "avg_pool_rank2"])
 def test_shape_contract_violation_raises(call):
     with pytest.raises(ShapeError):
         call()
@@ -578,6 +581,7 @@ class TestAvgPool:
         got = ops.avg_pool(Tensor(x), 2).data
         want = np.array([[[2.5], [4.5]], [[10.5], [12.5]]])
         np.testing.assert_allclose(got, want)
+        np.testing.assert_array_equal(ops.avg_pool(Tensor(x), np.int64(2)).data, got)
 
     def test_ragged_edge_uses_in_bounds_counts(self):
         x = np.arange(9.0, dtype=np.float64).reshape(3, 3, 1)

@@ -20,6 +20,7 @@ from outlooker import (
     unfold_array,
 )
 from outlooker.errors import GeometryError, ShapeError
+from outlooker.windows import _unfold_band
 
 
 def random_geometries():
@@ -47,6 +48,21 @@ class TestWindowGeometry:
     def test_empty_map_rejected(self):
         with pytest.raises(GeometryError):
             WindowGeometry(0, 8, 3)
+
+    # a bool is an int subclass but never a count; a float is not one either
+    @pytest.mark.parametrize("args", [(4.5, 4, 3), (4, 4.0, 3), (True, 4, 3), (4, 4, 3.0),
+                                      (4, 4, True), (4, 4, 3, 1.5), (4, 4, 3, True)],
+                             ids=["height_float", "width_float", "height_bool", "kernel_float",
+                                  "kernel_bool", "stride_float", "stride_bool"])
+    def test_non_count_rejected(self, args):
+        with pytest.raises(GeometryError):
+            WindowGeometry(*args)
+
+    def test_numpy_int_counts_accepted(self):
+        geom = WindowGeometry(np.int64(5), np.int32(4), np.int64(3), np.int64(2))
+        x = np.arange(40.0).reshape(5, 4, 2)
+        want = unfold_array(x, WindowGeometry(5, 4, 3, 2), 2)
+        np.testing.assert_array_equal(unfold_array(x, geom, np.int64(2)), want)
 
     @pytest.mark.parametrize("kernel", [1, 3, 5, 7])
     @pytest.mark.parametrize("stride", [1, 2, 3])
@@ -177,6 +193,35 @@ class TestShapeChecks:
         geom = WindowGeometry(4, 4, 3)
         with pytest.raises(ShapeError):
             fold(Tensor(np.zeros((15, 1, 9, 2))), geom)
+
+    @pytest.mark.parametrize("heads", [2.0, True, 0], ids=["float", "bool", "zero"])
+    def test_unfold_non_count_heads(self, heads):
+        with pytest.raises(ShapeError):
+            unfold(Tensor(np.zeros((4, 4, 2))), WindowGeometry(4, 4, 3), heads)
+
+
+class TestKernelRows:
+    @pytest.mark.parametrize("kernel", [1, 3, 5, 7])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["unbatched", "batched"])
+    def test_selected_rows_are_the_whole_stacks_slots(self, kernel, stride, lead):
+        # a band's kernel rows dp..dp+R-1 are byte-for-byte the slots
+        # dp·K..(dp+R)·K of that band's windows in the whole-grid stack
+        geom = WindowGeometry(9, 8, kernel, stride)
+        h, w = geom.out_height, geom.out_width
+        x = np.random.default_rng(kernel + 10 * stride).standard_normal((*lead, 9, 8, 6))
+        x = x.astype(np.float32)
+        for heads in (1, 3):
+            whole = unfold_array(x, geom, heads)
+            for rows in (slice(0, h), slice(1, 2), slice(h - 2, h)):
+                band = whole[..., rows.start * w : rows.stop * w, :, :, :]
+                for start in range(kernel):
+                    for stop in range(start + 1, kernel + 2):    # a stop past K clamps
+                        got = _unfold_band(x, geom, heads, rows, slice(start, stop))
+                        want = np.ascontiguousarray(
+                            band[..., start * kernel : min(stop, kernel) * kernel, :])
+                        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+                        assert got.tobytes() == want.tobytes()
 
 
 def _split(stack, heads):
