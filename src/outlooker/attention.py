@@ -15,9 +15,12 @@ the same code with no leading axes.
 
 ``SelfAttention``, ``LocalSelfAttention`` and the class-attention block are
 one ``MultiHeadCore``: ``attend`` projects q from the query tokens and k, v
-from the attended ones, and ``mix`` attends over flat lists, heads laid out
-as (..., heads, L, C/heads) via ``split_heads``/``merge_heads``.  The window
-layers make no head copies: they unfold straight into the head-major (...,
+from the attended ones, and ``mix`` attends over flat lists as one tape
+node.  It copies the heads out contiguously, (..., heads, L, C/heads), and
+keeps those copies and the softmax's row max and row sum, not the
+(..., heads, Lq, Lk) softmax, which its backward rebuilds from them with
+the forward's own steps, so every bit is the same.  The window layers make
+no head copies: they unfold straight into the head-major (...,
 windows, heads, K², C/heads) stack of ``windows``.  ``OutlookAttention``
 mixes its values and folds them back from that layout in one tape node,
 which walks the window grid in bands of whole window rows, last band
@@ -98,22 +101,6 @@ class Module:
         return [p for _, p in self.named_params()]
 
 
-def split_heads(t: Tensor, heads: int) -> Tensor:
-    """(..., L, C) → (..., heads, L, C/heads)."""
-    *lead, length, channels = t.shape
-    n = len(lead)
-    t = ops.reshape(t, (*lead, length, heads, channels // heads))
-    return ops.permute(t, (*range(n), n + 1, n, n + 2))
-
-
-def merge_heads(t: Tensor) -> Tensor:
-    """(..., heads, L, dh) → (..., L, heads·dh); the inverse of ``split_heads``."""
-    *lead, heads, length, dh = t.shape
-    n = len(lead)
-    t = ops.permute(t, (*range(n), n + 1, n, n + 2))
-    return ops.reshape(t, (*lead, length, heads * dh))
-
-
 class MultiHeadCore(Module):
     """q/k/v/o projections (C×C, with bias); ``attend`` wraps them around ``mix``."""
 
@@ -132,15 +119,57 @@ class MultiHeadCore(Module):
         return ops.linear(self.mix(q, k, v), self.w_o, self.b_o)
 
     def mix(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        """Multi-head softmax(q·kᵀ/√dh)·v; q: (..., Lq, C), k and v: (..., Lk, C)."""
+        """Multi-head softmax(q·kᵀ/√dh)·v as one tape node; q: (..., Lq, C), k and v: (..., Lk, C).
+
+        The forward copies the heads out contiguously, q as (..., heads, Lq,
+        dh), k as (..., heads, dh, Lk) and v as (..., heads, Lk, dh), takes
+        the score product, scales it by 1/√dh, softmaxes it over Lk, takes
+        the value product and merges the heads back to (..., Lq, C).  The
+        node keeps the three head copies and the softmax's row max and row
+        sum, (..., heads, Lq, 1) each, not the (..., heads, Lq, Lk) softmax
+        itself: the backward rebuilds it with the forward's own steps, so it
+        is the same array bit for bit, then runs the value and score
+        products', the softmax's and the scale's backward kernels.  The
+        rebuilt score product is plain ``@`` and books no multiply-adds.
+        """
+        heads = self.heads
+        if not (2 <= q.ndim == k.ndim and q.shape[:-2] == k.shape[:-2] and k.shape == v.shape
+                and q.shape[-1] == k.shape[-1] and k.shape[-1] % heads == 0):
+            raise ShapeError(f"mix expects q (..., Lq, C) and k, v (..., Lk, C), C divisible "
+                             f"by {heads} heads; got {q.shape}, {k.shape}, {v.shape}")
+        ops._same_dtype("mix", q, k, v)
         *lead, length, channels = k.shape
-        n = len(lead)
-        dh = channels // self.heads
-        keys = ops.reshape(k, (*lead, length, self.heads, dh))
-        keys = ops.permute(keys, (*range(n), n + 1, n + 2, n))          # (..., heads, dh, Lk)
-        scores = ops.scale(ops.matmul(split_heads(q, self.heads), keys), 1.0 / math.sqrt(dh))
-        attn = ops.softmax(scores)
-        return merge_heads(ops.matmul(attn, split_heads(v, self.heads)))
+        n, queries, dh = len(lead), q.shape[-2], channels // heads
+        swap = (*range(n), n + 1, n, n + 2)      # (..., L, heads, dh) ↔ (..., heads, L, dh)
+        to_keys, from_keys = (*range(n), n + 1, n + 2, n), (*range(n), n + 2, n, n + 1)
+        factor = 1.0 / math.sqrt(dh)
+
+        def heads_of(data, rows, axes):
+            return np.ascontiguousarray(data.reshape(*lead, rows, heads, dh).transpose(axes))
+
+        kt = heads_of(k.data, length, to_keys)
+        qh = heads_of(q.data, queries, swap)
+        s, row_max, row_sum = ops._softmax_parts(ops._gemm(qh, kt) * factor)
+        vh = heads_of(v.data, length, swap)
+        out = np.ascontiguousarray(ops._gemm(s, vh).transpose(swap)).reshape(q.shape)
+
+        def backward_fn(g):
+            go = heads_of(g, queries, swap)
+            s = qh @ kt                          # the forward's softmax, step for step
+            np.multiply(s, factor, out=s)
+            np.subtract(s, row_max, out=s)
+            np.exp(s, out=s)
+            np.divide(s, row_sum, out=s)
+            ga, gv = go @ vh.swapaxes(-1, -2), s.swapaxes(-1, -2) @ go
+            gs = ops._softmax_grad(s, ga)
+            del s, ga                # so at most three score-sized arrays live at once
+            np.multiply(gs, factor, out=gs)
+            gq, gk = gs @ kt.swapaxes(-1, -2), qh.swapaxes(-1, -2) @ gs
+            return tuple(np.ascontiguousarray(t.transpose(axes)).reshape(*lead, rows, channels)
+                         for t, axes, rows in ((gq, swap, queries), (gk, from_keys, length),
+                                               (gv, swap, length)))
+
+        return from_op(out, (q, k, v), backward_fn)
 
 
 class OutlookAttention(Module):
@@ -219,7 +248,7 @@ def _outlook_core(logits: Tensor, values: Tensor, geom: WindowGeometry, heads: i
     *lead, _, _, channels = values.shape
     h, w = geom.out_height, geom.out_width
     logits_shape = logits.shape
-    s = ops._softmax_array(logits.data.reshape(*lead, geom.windows, heads, k2, k2))
+    s = ops._softmax_parts(logits.data.reshape(*lead, geom.windows, heads, k2, k2))[0]
     band = _per_piece(h, math.prod(lead) * w * k2 * channels * values.dtype.itemsize)
 
     def cut(rows):                  # the band's windows on the window axis

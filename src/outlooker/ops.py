@@ -10,10 +10,12 @@ plain python floats so float32 data stays float32.
 
 Every forward GEMM in the package goes through ``_gemm``, the one place that
 adds to the multiply-add counter; softmax, normalization, elementwise work
-and backward GEMMs are not counted.  A product of a (..., k) array with a
-(k, n) matrix, forward (``_gemm``) or backward (``linear``'s input
-gradient), is one BLAS call over the flattened rows, not numpy's one call
-per leading index; the bits depend on how many rows one call covers.
+and backward GEMMs are not counted.  A forward product that a backward
+closure recomputes (self-attention's scores) is a plain ``@`` there, so it
+books nothing.  A product of a (..., k) array with a (k, n) matrix, forward
+(``_gemm``) or backward (``linear``'s input gradient), is one BLAS call over
+the flattened rows, not numpy's one call per leading index; the bits depend
+on how many rows one call covers.
 
 GELU's erf is the package's own, in numpy alone: a rational one in float32
 (``_rational_erf``) and a piecewise polynomial one in float64 (``_erf64``),
@@ -293,18 +295,26 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _softmax_array(d: np.ndarray) -> np.ndarray:
-    """Forward kernel of ``softmax`` on a raw array; returns a new array."""
-    s = d - _row_max(d)
+def _softmax_parts(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward kernel of ``softmax`` on a raw array: a new array s = exp(d - m) / r,
+    with the row max m of ``d`` and the row sum r of exp(d - m), both keepdims."""
+    m = _row_max(d)
+    s = d - m
     np.exp(s, out=s)
-    np.divide(s, _row_sum(s), out=s)
-    return s
+    r = _row_sum(s)
+    np.divide(s, r, out=s)
+    return s, m, r
 
 
 def _softmax_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Backward kernel of ``softmax``: the input gradient from its output ``s``."""
-    dot = _row_sum(g * s)
-    return s * (g - dot)
+    """Backward kernel of ``softmax``: the input gradient s·(g − Σ g·s) from its output ``s``.
+
+    The product is written into the difference's buffer, so the kernel holds
+    one new array of ``g``'s size, not two.
+    """
+    out = g - _row_sum(g * s)
+    np.multiply(s, out, out=out)
+    return out
 
 
 def _check_rows(op: str, x: Tensor) -> None:
@@ -320,7 +330,7 @@ def softmax(x: Tensor) -> Tensor:
     for masking) receive exactly zero weight.
     """
     _check_rows("softmax", x)
-    s = _softmax_array(x.data)
+    s = _softmax_parts(x.data)[0]
     return from_op(s, (x,), lambda g: (_softmax_grad(s, g),))
 
 

@@ -218,7 +218,9 @@ class MAddCounter(threading.local):
     """Per-thread accumulator of multiply-add counts.
 
     Each thread sees only its own total, which starts at 0 and is monotone
-    non-decreasing.  Only ``ops._gemm``, the forward GEMM, adds to it.
+    non-decreasing.  Only ``ops._gemm``, the forward GEMM, adds to it.  A
+    backward closure's products, including a forward product it recomputes
+    (``MultiHeadCore.mix``'s scores), are plain ``@`` and book nothing.
     """
 
     _total = 0

@@ -1,14 +1,17 @@
 """Attention layers: shape contracts, identities, multi-head structure,
 cost model (analytic and instrumented)."""
 
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from outlooker import (
     MADD_COUNTER,
+    ClassAttentionBlock,
     Conv2d,
     CostQuery,
     LocalSelfAttention,
@@ -34,10 +37,8 @@ from outlooker.attention import (
     LAYER_KINDS,
     _cost,
     _oa_cost,
-    merge_heads,
-    split_heads,
 )
-from outlooker.errors import GeometryError, ShapeError
+from outlooker.errors import ContractError, GeometryError, ShapeError
 
 
 class TestConstruction:
@@ -289,11 +290,14 @@ class TestOutlookHeadMajor:
         def composed(t):
             plain = ops.reshape(unfold(ops.linear(t, layer.w_v), geom),
                                 (*lead, geom.windows, k2, channels))
-            stack = split_heads(plain, heads)
+            n = len(lead) + 1                    # (..., windows, K², heads, dh) ↔ heads first
+            swap = (*range(n), n + 1, n, n + 2)
+            stack = ops.permute(ops.reshape(plain, (*lead, geom.windows, k2, heads,
+                                                    channels // heads)), swap)
             logits = ops.linear(ops.avg_pool(t, stride), layer.w_a, layer.b_a)
             attn = ops.softmax(ops.reshape(logits, (*lead, geom.windows, heads, k2, k2)))
-            mixed = ops.reshape(merge_heads(ops.matmul(attn, stack)),
-                                (*lead, geom.windows, 1, k2, channels))
+            mixed = ops.reshape(ops.permute(ops.matmul(attn, stack), swap), plain.shape)
+            mixed = ops.reshape(mixed, (*lead, geom.windows, 1, k2, channels))
             return ops.linear(fold(mixed, geom), layer.w_o, layer.b_o)
 
         def run(forward):
@@ -448,23 +452,110 @@ class TestStrideTwo:
         assert layer.forward(x).shape == (9, 8, 4)
 
 
-class TestHeadLayout:
-    def test_split_puts_channel_slices_on_a_head_axis(self, rng):
-        x = Tensor(rng.standard_normal((5, 4, 6)))                # (..., L, C)
-        heads = split_heads(x, 3)
-        assert heads.shape == (5, 3, 4, 2)
-        for n in range(3):
-            np.testing.assert_array_equal(heads.data[:, n], x.data[..., 2 * n:2 * n + 2])
-        np.testing.assert_array_equal(merge_heads(heads).data, x.data)
+def _op_chain_mix(q, k, v, heads):
+    """Multi-head attention as the chain of public ops that ``MultiHeadCore.mix`` replaces."""
+    *lead, length, channels = k.shape
+    n, dh = len(lead), channels // heads
+    swap = (*range(n), n + 1, n, n + 2)        # (..., L, heads, dh) ↔ (..., heads, L, dh)
 
-    def test_self_attention_records_sixteen_nodes(self, rng):
-        # 4 projections, the key reshape and permute, split q and v (2 each),
-        # the score matmul, scale, softmax, the value matmul and the merge (2)
+    def split(t):
+        return ops.permute(ops.reshape(t, (*t.shape[:-1], heads, dh)), swap)
+
+    keys = ops.permute(ops.reshape(k, (*lead, length, heads, dh)), (*range(n), n + 1, n + 2, n))
+    attn = ops.softmax(ops.scale(ops.matmul(split(q), keys), 1.0 / math.sqrt(dh)))
+    return ops.reshape(ops.permute(ops.matmul(attn, split(v)), swap), q.shape)
+
+
+def _load_tool(name):
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestHeadLayout:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("lead, queries, length", [
+        pytest.param((2,), 7, 7, id="self-batched"),
+        pytest.param((), 7, 7, id="self-unbatched"),
+        pytest.param((2,), 20, 20, id="self-long-rows"),
+        pytest.param((2,), 1, 8, id="class"),
+    ])
+    def test_node_bit_equal_to_op_chain(self, rng, dtype, lead, queries, length):
+        # the one node against the reshape/permute/matmul/scale/softmax chain
+        # it replaced: the output and the q, k and v gradients byte for byte,
+        # and the same multiply-adds booked; rows of up to 16 scores take the
+        # column-wise row max and sum, longer ones numpy's reductions
+        layer = SelfAttention(np.random.default_rng(3), 12, 3, dtype=dtype)
+        q, k, v = (Tensor(rng.standard_normal((*lead, rows, 12)), dtype=dtype, requires_grad=True)
+                   for rows in (queries, length, length))
+        probe = Tensor(rng.standard_normal((*lead, queries, 12)), dtype=dtype)
+
+        def run(mix):
+            start = MADD_COUNTER.total
+            with Tape() as tape:
+                out = mix(q, k, v)
+                counted = MADD_COUNTER.total - start
+                loss = ops.sum_all(ops.mul(out, probe))
+            grads = backward(loss, tape)
+            return counted, [out.data, *(grads[t] for t in (q, k, v))]
+
+        counted, got = run(layer.mix)
+        want_counted, want = run(lambda *qkv: _op_chain_mix(*qkv, 3))
+        assert counted == want_counted == math.prod(lead) * 2 * queries * length * 12
+        for a, b in zip(got, want):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.dtype == dtype
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("q_shape, kv_shapes", [
+        ((2, 7, 12), ((3, 7, 12), (3, 7, 12))),     # leading axes differ
+        ((2, 7, 12), ((2, 7, 12), (2, 6, 12))),     # k and v differ
+        ((2, 7, 8), ((2, 7, 8), (2, 7, 8))),        # channels not divisible by 3 heads
+        ((12,), ((7, 12), (7, 12))),                # q has no token axis
+    ], ids=["lead", "kv", "heads", "rank"])
+    def test_mix_rejects_misaligned_operands(self, q_shape, kv_shapes):
+        layer = SelfAttention(np.random.default_rng(3), 12, 3)
+        q, k, v = (Tensor(np.zeros(shape, dtype=np.float32)) for shape in (q_shape, *kv_shapes))
+        with pytest.raises(ShapeError):
+            layer.mix(q, k, v)
+
+    def test_mix_rejects_mixed_dtypes(self):
+        layer = SelfAttention(np.random.default_rng(3), 12, 3)
+        q, k = (Tensor(np.zeros((7, 12), dtype=np.float32)) for _ in range(2))
+        with pytest.raises(ContractError):
+            layer.mix(q, k, Tensor(np.zeros((7, 12), dtype=np.float64)))
+
+    def test_self_attention_records_five_nodes(self, rng):
+        # the 4 projections and the one attention node
         layer = SelfAttention(np.random.default_rng(3), 12, 3)
         x = Tensor(rng.standard_normal((2, 7, 12)), dtype=np.float32, requires_grad=True)
         with Tape() as tape:
             layer.forward(x)
-            assert len(tape) == 16
+            assert len(tape) == 5
+
+    def test_no_node_keeps_the_scores(self, rng):
+        # the node keeps its head copies and the softmax's row max and sum;
+        # the (..., heads, Lq, Lk) softmax is rebuilt in backward, so no
+        # closure on the tape reaches an array of that shape, while the op
+        # chain's softmax and matmul closures do
+        walk = _load_tool("retained").closure_arrays
+        heads, scores = 3, {(3, 7, 7), (3, 1, 8)}
+        sa = SelfAttention(np.random.default_rng(3), 12, heads)
+        ca = ClassAttentionBlock(np.random.default_rng(4), 12, heads)
+        x = Tensor(rng.standard_normal((2, 7, 12)), dtype=np.float32, requires_grad=True)
+        cls = Tensor(rng.standard_normal((2, 1, 12)), dtype=np.float32, requires_grad=True)
+
+        def held_shapes(forward):
+            with Tape() as tape:
+                forward()
+                return [a.shape[-3:] for _, _, fn in tape._nodes for a in walk(fn)]
+
+        held = held_shapes(lambda: (sa.forward(x), ca.forward(cls, x)))
+        assert (heads, 7, 4) in held and (heads, 1, 1) in held    # q heads, class row stats
+        assert not scores & set(held)
+        chain = held_shapes(lambda: _op_chain_mix(x, x, x, heads))
+        assert (heads, 7, 7) in chain
 
 
 class TestLocalAttentionMask:

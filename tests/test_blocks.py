@@ -307,12 +307,12 @@ class TestClassAttention:
         assert per_sample == 3_648
         assert MADD_COUNTER.total - start == batch * per_sample
 
-    def test_records_twenty_five_nodes(self, rng):
-        # concat, norm, narrow, the 16 attention nodes, residual add, norm,
-        # the 3 MLP nodes and the MLP residual add
+    def test_records_fourteen_nodes(self, rng):
+        # concat, norm, narrow, the 4 projections and the attention node,
+        # residual add, norm, the 3 MLP nodes and the MLP residual add
         block = ClassAttentionBlock(np.random.default_rng(0), 12, 3, 3.0)
         cls_token = Tensor(rng.standard_normal((2, 1, 12)), dtype=np.float32, requires_grad=True)
         patches = Tensor(rng.standard_normal((2, 7, 12)), dtype=np.float32, requires_grad=True)
         with Tape() as tape:
             block.forward(cls_token, patches)
-            assert len(tape) == 25
+            assert len(tape) == 14

@@ -126,10 +126,14 @@ def test_tracer_patch_points_all_fire():
     def step():
         with Tape() as tape:
             logits = model.forward(images, training=True, rng=np.random.default_rng(1))
-            # outlook attention's window core is one node that calls no
-            # Tensor-level window op, so the step drives those ops itself
-            folded = windows.fold(windows.unfold(Tensor(images, requires_grad=True), geom), geom)
-            loss = ops.add(cross_entropy(logits, labels), ops.sum_all(folded))
+            # outlook attention's window core and the attention mix are one
+            # node each, calling no Tensor-level window op, matmul or
+            # softmax, so the step drives those ops itself
+            x = Tensor(images, requires_grad=True)
+            folded = windows.fold(windows.unfold(x, geom), geom)
+            attn = ops.softmax(ops.matmul(x, ops.permute(x, (0, 1, 3, 2))))
+            loss = ops.add(cross_entropy(logits, labels),
+                           ops.add(ops.sum_all(folded), ops.sum_all(attn)))
             nodes = len(tape)
             grads = backward(loss, tape)
         opt.step(grads)

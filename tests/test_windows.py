@@ -225,7 +225,7 @@ class TestKernelRows:
 
 
 def _split(stack, heads):
-    """(..., windows, K², C) → (..., windows, heads, K², C/heads), as split_heads does."""
+    """(..., windows, K², C) → (..., windows, heads, K², C/heads): each head's channel slice."""
     *lead, windows, k2, channels = stack.shape
     split = stack.reshape(*lead, windows, k2, heads, channels // heads)
     return np.ascontiguousarray(np.moveaxis(split, -2, -3))
