@@ -2,6 +2,8 @@
 
 ``ResidualBlock`` wraps any token mixer: it computes ``x + mix(norm(x))``
 followed by ``y + mlp(norm(y))`` on inputs with any leading (batch) axes.
+The MLP is one tape node that keeps its input and its pre-activation and
+recomputes GELU elementwise in backward, booking no multiply-adds there.
 ``OutlookerBlock`` and ``TransformerBlock`` are that block around outlook
 attention and full self-attention; a stage-1 swap puts the layer that
 ``attention.build_layer`` makes in it.  ``ClassAttentionBlock`` updates only
@@ -20,7 +22,7 @@ import numpy as np
 from . import ops
 from .attention import Module, MultiHeadCore, OutlookAttention, SelfAttention, _param, _zeros
 from .errors import ContractError, ShapeError, check_count
-from .tensor import Tensor
+from .tensor import Tensor, active_tape, from_op
 
 
 def mlp_hidden(channels: int, ratio: float) -> int:
@@ -73,7 +75,7 @@ class LayerNorm(Module):
 
 
 class Mlp(Module):
-    """linear → gelu → linear, hidden width = ratio × channels."""
+    """linear → gelu → linear as one tape node, hidden width = ratio × channels."""
 
     def __init__(self, rng, channels: int, ratio: float, dtype=np.float32):
         hidden = mlp_hidden(channels, ratio)
@@ -83,7 +85,39 @@ class Mlp(Module):
         self.b2 = _zeros(channels, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        return ops.linear(ops.gelu(ops.linear(x, self.w1, self.b1)), self.w2, self.b2)
+        """fc2(gelu(fc1(x))) over the last axis of a (..., C) ``x``.
+
+        The forward makes ``linear``'s and ``gelu``'s numpy calls in their
+        order: fc1's product through ``ops._gemm`` and its bias added in
+        place, GELU by ``ops._gelu_parts`` without its derivative, then fc2
+        the same way.  The node keeps ``x`` and the pre-activation ``h``
+        only; an untaped call drops ``h`` before fc2's product.  The backward
+        recomputes GELU's output and derivative from ``h``, the same arrays
+        bit for bit, then runs fc2's ``linear`` backward kernel, frees the
+        GELU output, multiplies by the derivative and runs fc1's.  It books
+        no multiply-adds.
+        """
+        w1, b1, w2, b2 = self.w1, self.b1, self.w2, self.b2
+        if x.ndim < 1 or x.shape[-1] != w1.shape[0]:
+            raise ShapeError(f"mlp input {x.shape} does not align with fc1 {w1.shape}")
+        ops._same_dtype("mlp", x, w1, b1, w2, b2)
+        h = ops._gemm(x.data, w1.data)
+        np.add(h, b1.data, out=h)
+        y = ops._gelu_parts(h, False)[0]
+        if active_tape() is None:
+            h = None                # no node will read it, so fc2's product runs without it
+        out = ops._gemm(y, w2.data)
+        np.add(out, b2.data, out=out)
+
+        def backward_fn(g):
+            y, deriv = ops._gelu_parts(h, True)
+            gy, gw2, gb2 = ops._linear_grads(g, y, w2.data, True)
+            del y
+            np.multiply(gy, deriv, out=gy)
+            del deriv
+            return (*ops._linear_grads(gy, x.data, w1.data, True), gw2, gb2)
+
+        return from_op(out, (x, w1, b1, w2, b2), backward_fn)
 
 
 class ResidualBlock(Module):

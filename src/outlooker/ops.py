@@ -12,7 +12,9 @@ Every forward GEMM in the package goes through ``_gemm``, the one place that
 adds to the multiply-add counter; softmax, normalization, elementwise work
 and backward GEMMs are not counted.  A forward product that a backward
 closure recomputes (self-attention's scores) is a plain ``@`` there, so it
-books nothing.  A product of a (..., k) array with a (k, n) matrix, forward
+books nothing; the MLP node (``blocks.Mlp``) keeps its pre-activation and
+recomputes GELU elementwise in backward with ``_gelu_parts``, which books
+nothing either.  A product of a (..., k) array with a (k, n) matrix, forward
 (``_gemm``) or backward (``linear``'s input gradient), is one BLAS call over
 the flattened rows, not numpy's one call per leading index; the bits depend
 on how many rows one call covers.
@@ -103,21 +105,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.shape != (w.shape[1],):
         raise ShapeError(f"linear bias shape {b.shape} does not match weight {w.shape}")
     _same_dtype("linear", x, w, *(() if b is None else (b,)))
-    cin, cout = int(w.shape[0]), int(w.shape[1])
     data = _gemm(x.data, w.data)
     if b is not None:
         np.add(data, b.data, out=data)
-
-    def backward_fn(g):
-        g2 = g.reshape(-1, cout)
-        gx = (g2 @ w.data.T).reshape(x.shape)
-        gw = x.data.reshape(-1, cin).T @ g2
-        if b is None:
-            return (gx, gw)
-        return (gx, gw, g2.sum(axis=0))
-
     inputs = (x, w) if b is None else (x, w, b)
-    return from_op(data, inputs, backward_fn)
+    return from_op(data, inputs, lambda g: _linear_grads(g, x.data, w.data, b is not None))
+
+
+def _linear_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, bias: bool) -> tuple:
+    """Backward kernel of ``linear`` on raw arrays: (gx, gw), and gb when ``bias``."""
+    g2 = g.reshape(-1, w.shape[1])
+    gx = (g2 @ w.T).reshape(x.shape)
+    gw = x.reshape(-1, w.shape[0]).T @ g2
+    return (gx, gw, g2.sum(axis=0)) if bias else (gx, gw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -439,25 +439,20 @@ def _erf64(z: np.ndarray, t: np.ndarray, u: np.ndarray, v: np.ndarray,
     np.copyto(z, u, where=m)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian-error linear unit, exact erf form: x * Phi(x), Phi(x) = (1 + erf(x/√2)) / 2.
+def _gelu_parts(x: np.ndarray, with_deriv: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Forward kernel of ``gelu`` on a raw array: a new array x·Phi(x) and, when
+    ``with_deriv``, a new array of its derivative Phi(x) + x·pdf(x), else None.
 
     One pass over the flattened input in blocks of ``_GELU_BLOCK_BYTES``;
-    every step writes into the preallocated output or into block-sized
+    every step writes into the preallocated outputs or into block-sized
     scratch: three buffers in float32, four and a bool mask in float64.  The
-    dtype picks the erf, and neither's bits depend on the block.  float64
-    uses ``_erf64``, a piecewise polynomial erf within 3 ulp of the exact
-    one.  float32 uses ``_rational_erf``, a rational erf on x/√2 clamped to
-    [-4, 4], within 5e-7 of the exact erf and clipped to [-1, 1].  So
-    0 <= Phi <= 1 in both.
-
-    A recorded node keeps only the derivative Phi(x) + x * pdf(x), computed in
-    the forward; an unrecorded call computes no derivative.
+    output's steps come before the derivative's in each block and read
+    nothing the derivative writes, so the output has the same bits with or
+    without it.
     """
-    out, deriv = np.empty_like(x.data), None
-    if x.requires_grad and active_tape() is not None:     # the node will be recorded
-        deriv = np.empty_like(x.data)
-    d, out_flat = x.data.reshape(-1), out.reshape(-1)
+    out = np.empty_like(x)
+    deriv = np.empty_like(x) if with_deriv else None
+    d, out_flat = x.reshape(-1), out.reshape(-1)
     deriv_flat = None if deriv is None else deriv.reshape(-1)
     rational = d.dtype == np.float32
     block = max(1, min(d.size, _GELU_BLOCK_BYTES // d.itemsize))
@@ -485,6 +480,22 @@ def gelu(x: Tensor) -> Tensor:
             np.multiply(t, _INV_SQRT_2PI, out=t)
             np.multiply(xb, t, out=t)
             np.add(phi, t, out=deriv_flat[start:stop])
+    return out, deriv
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Gaussian-error linear unit, exact erf form: x * Phi(x), Phi(x) = (1 + erf(x/√2)) / 2.
+
+    Computed by ``_gelu_parts``.  The dtype picks the erf, and neither's bits
+    depend on the block.  float64 uses ``_erf64``, a piecewise polynomial erf
+    within 3 ulp of the exact one.  float32 uses ``_rational_erf``, a
+    rational erf on x/√2 clamped to [-4, 4], within 5e-7 of the exact erf and
+    clipped to [-1, 1].  So 0 <= Phi <= 1 in both.
+
+    A recorded node keeps only the derivative Phi(x) + x * pdf(x), computed in
+    the forward; an unrecorded call computes no derivative.
+    """
+    out, deriv = _gelu_parts(x.data, x.requires_grad and active_tape() is not None)
     return from_op(out, (x,), lambda g: (g * deriv,))
 
 

@@ -220,7 +220,9 @@ class MAddCounter(threading.local):
     Each thread sees only its own total, which starts at 0 and is monotone
     non-decreasing.  Only ``ops._gemm``, the forward GEMM, adds to it.  A
     backward closure's products, including a forward product it recomputes
-    (``MultiHeadCore.mix``'s scores), are plain ``@`` and book nothing.
+    (``MultiHeadCore.mix``'s scores), are plain ``@`` and book nothing; the
+    MLP node's backward recomputes GELU elementwise, which books nothing
+    either.
     """
 
     _total = 0

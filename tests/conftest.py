@@ -6,6 +6,9 @@ then prints one PASS/FAIL line per criterion at the end of the run, even
 when a criterion's assertion failed.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,16 @@ def acceptance():
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture(scope="session")
+def retained_tool():
+    """``tools/retained.py``, imported as a module."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "retained.py"
+    spec = importlib.util.spec_from_file_location("retained", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

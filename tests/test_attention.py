@@ -1,10 +1,8 @@
 """Attention layers: shape contracts, identities, multi-head structure,
 cost model (analytic and instrumented)."""
 
-import importlib.util
 import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -466,14 +464,6 @@ def _op_chain_mix(q, k, v, heads):
     return ops.reshape(ops.permute(ops.matmul(attn, split(v)), swap), q.shape)
 
 
-def _load_tool(name):
-    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestHeadLayout:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     @pytest.mark.parametrize("lead, queries, length", [
@@ -534,12 +524,12 @@ class TestHeadLayout:
             layer.forward(x)
             assert len(tape) == 5
 
-    def test_no_node_keeps_the_scores(self, rng):
+    def test_no_node_keeps_the_scores(self, rng, retained_tool):
         # the node keeps its head copies and the softmax's row max and sum;
         # the (..., heads, Lq, Lk) softmax is rebuilt in backward, so no
         # closure on the tape reaches an array of that shape, while the op
         # chain's softmax and matmul closures do
-        walk = _load_tool("retained").closure_arrays
+        walk = retained_tool.closure_arrays
         heads, scores = 3, {(3, 7, 7), (3, 1, 8)}
         sa = SelfAttention(np.random.default_rng(3), 12, heads)
         ca = ClassAttentionBlock(np.random.default_rng(4), 12, heads)

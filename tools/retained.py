@@ -13,12 +13,20 @@ through Tensors, tuples, lists and nested functions, is counted by its base
 buffer, once, under the first node that reaches it; parameters are left out.
 It prints one row per op kind (the function that recorded the node): its
 node count and the MB its nodes keep, largest first, then the totals.
+
+With ``--peak`` it runs the same forward under ``tracemalloc``, started after
+the model and the images are built, and prints the forward's traced peak.
+Then it wraps every backward closure so that the traced peak is reset before
+the closure runs and read after it, runs the backward, and prints the five
+nodes with the highest peak: the node's index in recording order, its op kind
+and its peak, counted from where tracing started.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -26,7 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from outlooker import PRESETS, Tape, Tensor, build_model  # noqa: E402
+from outlooker import PRESETS, Tape, Tensor, backward, build_model  # noqa: E402
 from outlooker.train import cross_entropy  # noqa: E402
 
 SEED = 0
@@ -77,10 +85,35 @@ def retained(tape: Tape, exclude=()) -> tuple[Counter, Counter]:
     return nodes, held
 
 
+def backward_peaks(tape: Tape, loss: Tensor) -> list[tuple[int, int, str]]:
+    """(traced peak bytes, recording index, op kind) of each backward node that ran.
+
+    Each closure on ``tape`` is wrapped to reset tracemalloc's peak before it
+    runs and to read it after, so a node's peak is the highest traced memory
+    while it ran.  Tracing must be on; the backward consumes ``tape``.
+    """
+    peaks = []
+
+    def traced(index, fn):
+        def run(g):
+            tracemalloc.reset_peak()
+            grads = fn(g)
+            peaks.append((tracemalloc.get_traced_memory()[1], index, op_kind(fn)))
+            return grads
+        return run
+
+    tape._nodes[:] = [(refs, key, traced(i, fn)) for i, (refs, key, fn) in enumerate(tape._nodes)]
+    backward(loss, tape)
+    return peaks
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", default="d1", choices=sorted(PRESETS))
     parser.add_argument("--batch", type=int, default=2)
+    parser.add_argument("--peak", action="store_true",
+                        help="print the forward's traced peak and the five backward nodes "
+                             "with the highest one, instead of the retained memory")
     args = parser.parse_args(argv)
 
     config = PRESETS[args.config]
@@ -89,11 +122,28 @@ def main(argv=None) -> None:
     images = Tensor(rng.standard_normal(
         (args.batch, config.image_size, config.image_size, 3)).astype(np.float32))
     labels = rng.integers(0, config.num_classes, size=args.batch)
-    with Tape() as tape:
-        logits = model.forward(images, training=True, rng=np.random.default_rng(SEED + 1))
-        cross_entropy(logits, labels)
-        nodes, held = retained(tape, exclude=model.parameters())
 
+    def taped_loss():
+        with Tape() as tape:
+            logits = model.forward(images, training=True, rng=np.random.default_rng(SEED + 1))
+            return tape, cross_entropy(logits, labels)
+
+    if args.peak:
+        tracemalloc.start()
+        try:
+            tape, loss = taped_loss()
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            peaks = sorted(backward_peaks(tape, loss), reverse=True)[:5]
+        finally:
+            tracemalloc.stop()
+        print(f"forward peak {forward_peak / 1e6:.2f} MB")
+        print(f"{'node':>6} {'op kind':<28} {'MB':>9}")
+        for peak, index, kind in peaks:
+            print(f"{index:>6} {kind:<28} {peak / 1e6:>9.2f}")
+        return
+
+    tape, _ = taped_loss()
+    nodes, held = retained(tape, exclude=model.parameters())
     print(f"{'op kind':<28} {'nodes':>6} {'MB':>9}")
     for kind in sorted(nodes, key=lambda k: (-held[k], k)):
         print(f"{kind:<28} {nodes[kind]:>6} {held[kind] / 1e6:>9.3f}")
