@@ -327,8 +327,9 @@ class Conv2d(Module):
     token's terms in ``fold_array``'s slot order.  Before that, the weight
     gradient unfolds the input a group of kernel rows at a time
     (``_unfold_band``'s ``kernel_rows``) over the whole grid, each element one
-    sum over all windows.  So every element is the same sum in the same order
-    at any piece size.
+    sum over all windows.  BLAS rounds each band's GEMM by its row count, so
+    the bits are fixed for a given shape, dtype and ``_PIECE_BYTES``, but can
+    differ in the last place from one GEMM over the whole window stack.
     """
 
     def __init__(self, rng, kernel: int, cin: int, cout: int, stride: int = 1,

@@ -1,15 +1,10 @@
 """Attention layers: shape contracts, identities, multi-head structure,
 cost model (analytic and instrumented)."""
 
-import math
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from outlooker import (
-    MADD_COUNTER,
-    ClassAttentionBlock,
     Conv2d,
     CostQuery,
     LocalSelfAttention,
@@ -20,16 +15,13 @@ from outlooker import (
     WindowGeometry,
     backward,
     build_layer,
-    fold,
     fold_array,
     layer_input,
     madds,
     measured_madds,
     ops,
-    unfold,
     unfold_array,
 )
-from outlooker import attention
 from outlooker.attention import (
     _PIECE_BYTES,
     LAYER_KINDS,
@@ -125,91 +117,34 @@ class TestConstruction:
 
 
 class TestConvTapeNode:
-    @pytest.mark.parametrize("kernel, stride, lead, size, cin, cout", [
-        pytest.param(3, 1, (2,), (9, 10), 3, 8, id="3-1"),
-        pytest.param(7, 2, (2,), (9, 10), 3, 8, id="7-2"),
-        pytest.param(3, 1, (), (9, 10), 3, 8, id="unbatched"),
-        pytest.param(5, 2, (3, 2), (7, 6), 4, 5, id="two-leading-axes"),
-        # tiny's stem conv: a 4.7 MB stack, walked in several pieces both ways
-        pytest.param(3, 1, (8,), (16, 16), 64, 64, id="tiny-stem"),
-    ])
-    def test_one_node_bit_equal_to_unfold_then_linear(self, rng, monkeypatch, kernel, stride,
-                                                      lead, size, cin, cout):
-        conv = Conv2d(np.random.default_rng(3), kernel, cin, cout, stride=stride)
-        conv.bias.data[...] = rng.standard_normal(cout)
-        x = Tensor(rng.standard_normal((*lead, *size, cin)), dtype=np.float32,
-                   requires_grad=True)
-        geom = WindowGeometry(*size, kernel, stride)
-        probe = Tensor(rng.standard_normal((*lead, geom.out_height, geom.out_width, cout)),
-                       dtype=np.float32)
-
-        def composed(t):
-            rows = kernel * kernel * cin
-            flat = ops.reshape(unfold(t, geom), (*lead, geom.windows, rows))
-            out = ops.linear(flat, ops.reshape(conv.weight, (rows, cout)), conv.bias)
-            return ops.reshape(out, probe.shape)
-
-        def run(forward):
-            start = MADD_COUNTER.total
-            with Tape() as tape:
-                out = forward(x)
-                nodes = len(tape)
-                loss = ops.sum_all(ops.mul(out, probe))
-            counted = MADD_COUNTER.total - start
-            grads = backward(loss, tape)
-            return out.data, [grads[t] for t in (x, conv.weight, conv.bias)], nodes, counted
-
-        want_out, want_grads, want_nodes, want_counted = run(composed)
-        # at the library's piece size, then at 4 KiB pieces: most bands are
-        # one window row and every weight-gradient group one kernel row
-        for piece_bytes in (_PIECE_BYTES, 4096):
-            monkeypatch.setattr(attention, "_PIECE_BYTES", piece_bytes)
-            out, grads, nodes, counted = run(conv.forward)
-            assert (nodes, want_nodes) == (1, 5)
-            assert counted == want_counted == (
-                geom.windows * math.prod(lead) * kernel * kernel * cin * cout)
-            np.testing.assert_array_equal(out, want_out)
-            for got, want in zip(grads, want_grads):
-                assert got.dtype == np.float32
-                np.testing.assert_array_equal(got, want)
-
-    def test_no_pass_allocates_the_whole_window_stack(self, rng):
+    def test_no_pass_allocates_the_whole_window_stack(self, rng, memory):
         conv = Conv2d(np.random.default_rng(3), 5, 16, 16)
         x = Tensor(rng.standard_normal((2, 48, 48, 16)), dtype=np.float32, requires_grad=True)
         stack_bytes = 2 * 48 * 48 * 25 * 16 * 4       # 7.37 MB
-        tracemalloc.start()
-        try:
+        with memory() as mem:
             with Tape() as tape:
-                tracemalloc.reset_peak()
-                start = tracemalloc.get_traced_memory()[0]
+                mem.mark()
                 out = conv(x)
-                forward_peak = tracemalloc.get_traced_memory()[1] - start
+                forward_peak = mem.peak()
                 loss = ops.sum_all(out)
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
+            mem.mark()
             grads = backward(loss, tape)
-            backward_peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+            backward_peak = mem.peak()
         assert grads[x].shape == x.shape
         assert forward_peak < stack_bytes / 2
         assert backward_peak < stack_bytes / 2
 
-    def test_forward_holds_no_padded_copy(self, rng):
+    def test_forward_holds_no_padded_copy(self, rng, memory):
         # the stem's 3×3 conv: each band's windows are copied from a slab of
         # the rows they read; the loop may hold two bands' stacks and a slab
         conv = Conv2d(np.random.default_rng(3), 3, 64, 64)
         x = Tensor(rng.standard_normal((1, 112, 112, 64)), dtype=np.float32)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
+        with memory() as mem:
             out = conv(x)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+            peak = mem.peak()
         assert peak <= out.data.nbytes + 2.5 * _PIECE_BYTES
 
-    def test_backward_holds_one_padded_input_and_one_slab(self, rng):
+    def test_backward_holds_one_padded_input_and_one_slab(self, rng, memory):
         # the stem's 3×3 conv: the weight gradient unfolds the input a kernel
         # row at a time, each row's stack from its own padded copy, and both
         # are freed before the input gradient is folded band by band onto an
@@ -218,16 +153,12 @@ class TestConvTapeNode:
         x = Tensor(rng.standard_normal((1, 112, 112, 64)), dtype=np.float32,
                    requires_grad=True)
         probe = Tensor(rng.standard_normal((1, 112, 112, 64)), dtype=np.float32)
-        tracemalloc.start()
-        try:
+        with memory() as mem:
             with Tape() as tape:
                 loss = ops.sum_all(ops.mul(conv(x), probe))
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
+            mem.mark()
             grads = backward(loss, tape)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+            peak = mem.peak()
         assert grads[x].shape == x.shape
         g_bytes = probe.data.nbytes
         padded_bytes = 114 * 114 * 64 * 4
@@ -258,131 +189,35 @@ class TestEmptyBatch:
 
 
 class TestOutlookHeadMajor:
-    @pytest.mark.parametrize("lead, size, channels, heads, kernel, stride, want_bands", [
-        pytest.param((2,), (9, 10), 12, 3, 3, 1, 1, id="1-6"),
-        pytest.param((2,), (9, 10), 12, 3, 3, 2, 1, id="2-7"),
-        # bands of 7 window rows; the last band (walked first) has 5
-        pytest.param((2,), (40, 41), 48, 3, 3, 1, 6, id="s1-short-last-band"),
-        pytest.param((), (64, 60), 48, 3, 5, 1, 22, id="s1-k5-unbatched"),
-        pytest.param((2,), (60, 50), 48, 6, 3, 2, 3, id="s2-batched"),
-        pytest.param((3, 2), (30, 31), 48, 3, 5, 2, 8, id="s2-k5-two-leading-axes"),
-        pytest.param((2,), (45, 44), 96, 3, 3, 3, 2, id="s3"),
-        pytest.param((3, 2), (30, 31), 48, 3, 5, 3, 4, id="s3-k5-two-leading-axes"),
-    ])
-    def test_bit_equal_to_split_merge_composition(self, rng, lead, size, channels, heads,
-                                                  kernel, stride, want_bands):
-        # the layer walks its window core in bands of window rows, last band
-        # first; the reference unfolds the whole one-head stack, reshaped to
-        # (windows, K², C), splits the heads out of it and merges them back
-        layer = OutlookAttention(np.random.default_rng(3), channels, heads, kernel,
-                                 stride=stride)
-        layer.b_a.data[...] = rng.standard_normal(layer.b_a.shape)
-        shape = (*lead, *size, channels)
-        x = Tensor(rng.standard_normal(shape), dtype=np.float32, requires_grad=True)
-        probe = Tensor(rng.standard_normal(shape), dtype=np.float32)
-        geom = WindowGeometry(*size, kernel, stride)
-        k2 = kernel * kernel
-        row_bytes = math.prod(lead) * geom.out_width * k2 * channels * 4
-        assert -(-geom.out_height // max(1, _PIECE_BYTES // row_bytes)) == want_bands
-
-        def composed(t):
-            plain = ops.reshape(unfold(ops.linear(t, layer.w_v), geom),
-                                (*lead, geom.windows, k2, channels))
-            n = len(lead) + 1                    # (..., windows, K², heads, dh) ↔ heads first
-            swap = (*range(n), n + 1, n, n + 2)
-            stack = ops.permute(ops.reshape(plain, (*lead, geom.windows, k2, heads,
-                                                    channels // heads)), swap)
-            logits = ops.linear(ops.avg_pool(t, stride), layer.w_a, layer.b_a)
-            attn = ops.softmax(ops.reshape(logits, (*lead, geom.windows, heads, k2, k2)))
-            mixed = ops.reshape(ops.permute(ops.matmul(attn, stack), swap), plain.shape)
-            mixed = ops.reshape(mixed, (*lead, geom.windows, 1, k2, channels))
-            return ops.linear(fold(mixed, geom), layer.w_o, layer.b_o)
-
-        def run(forward):
-            start = MADD_COUNTER.total
-            with Tape() as tape:
-                out = forward(x)
-                loss = ops.sum_all(ops.mul(out, probe))
-                nodes = len(tape)
-            counted = MADD_COUNTER.total - start
-            grads = backward(loss, tape)
-            return out.data, [grads[t] for t in (x, *layer.parameters())], nodes, counted
-
-        out, grads, nodes, counted = run(layer.forward)
-        want_out, want_grads, want_nodes, want_counted = run(composed)
-        assert (nodes, want_nodes) == ((6, 16) if stride == 1 else (7, 17))
-        assert counted == want_counted
-        np.testing.assert_array_equal(out, want_out)
-        for got, want in zip(grads, want_grads):
-            assert got.dtype == np.float32
-            np.testing.assert_array_equal(got, want)
-
-    def test_no_pass_allocates_the_whole_window_stack(self, rng):
+    def test_no_pass_allocates_the_whole_window_stack(self, rng, memory):
         # K = 5 and one head: the K²-wide stack outweighs the N·K⁴-wide
         # logits and softmax, which every pass holds
         layer = OutlookAttention(np.random.default_rng(3), 384, 1, 5)
         x = Tensor(rng.standard_normal((2, 24, 24, 384)), dtype=np.float32,
                    requires_grad=True)
         stack_bytes = 2 * 24 * 24 * 25 * 384 * 4      # 44.2 MB
-        tracemalloc.start()
-        try:
+        with memory() as mem:
             with Tape() as tape:
-                tracemalloc.reset_peak()
-                start = tracemalloc.get_traced_memory()[0]
+                mem.mark()
                 out = layer(x)
-                forward_peak = tracemalloc.get_traced_memory()[1] - start
+                forward_peak = mem.peak()
                 loss = ops.sum_all(out)
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
+            mem.mark()
             grads = backward(loss, tape)
-            backward_peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+            backward_peak = mem.peak()
         assert grads[x].shape == x.shape
         assert forward_peak < stack_bytes / 2
         assert backward_peak < stack_bytes / 2
 
-    @pytest.mark.parametrize("stride, size, channels, heads", [
-        pytest.param(1, 24, 96, 3, id="1"),
-        pytest.param(2, 24, 96, 3, id="2"),
-        # d1's stage-1 layer at batch 2: three bands at stride 2
-        pytest.param(2, 28, 192, 6, id="2-d1-batch2"),
-    ])
-    def test_core_keeps_no_value_stack(self, rng, stride, size, channels, heads):
-        # the layer's window core is one node holding the values and the
-        # softmax output; the public-op chain's matmul also holds the K²-wide
-        # value stack
-        layer = OutlookAttention(np.random.default_rng(3), channels, heads, 3, stride=stride)
-        x = Tensor(rng.standard_normal((2, size, size, channels)), dtype=np.float32,
-                   requires_grad=True)
-        geom = WindowGeometry(size, size, 3, stride)
-
-        def composed(t):
-            stack = unfold(ops.linear(t, layer.w_v), geom, heads)
-            logits = ops.linear(ops.avg_pool(t, stride), layer.w_a, layer.b_a)
-            attn = ops.softmax(ops.reshape(logits, (2, geom.windows, heads, 9, 9)))
-            return ops.linear(fold(ops.matmul(attn, stack), geom, heads), layer.w_o, layer.b_o)
-
-        def measure(forward):
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                with Tape() as tape:
-                    loss = ops.sum_all(forward(x))
-                retained = tracemalloc.get_traced_memory()[0] - start
-                tracemalloc.reset_peak()
-                grads = backward(loss, tape)
-                peak = tracemalloc.get_traced_memory()[1] - start
-            finally:
-                tracemalloc.stop()
-            return retained, peak, [grads[t] for t in (x, *layer.parameters())]
-
-        retained, peak, grads = measure(layer.forward)
-        want_retained, want_peak, want_grads = measure(composed)
-        assert retained < want_retained
-        assert peak <= want_peak
-        for got, want in zip(grads, want_grads):
-            np.testing.assert_array_equal(got, want)
+    @pytest.mark.parametrize("stride, nodes", [(1, 4), (2, 5)])
+    def test_layer_records_its_core_and_projections(self, rng, stride, nodes):
+        # the value, logit and output projections and the window core, and
+        # the pooling at stride 2
+        layer = OutlookAttention(np.random.default_rng(3), 12, 3, 3, stride=stride)
+        x = Tensor(rng.standard_normal((2, 9, 10, 12)), dtype=np.float32, requires_grad=True)
+        with Tape() as tape:
+            layer.forward(x)
+            assert len(tape) == nodes
 
 
 class TestOutlookIdentities:
@@ -450,54 +285,7 @@ class TestStrideTwo:
         assert layer.forward(x).shape == (9, 8, 4)
 
 
-def _op_chain_mix(q, k, v, heads):
-    """Multi-head attention as the chain of public ops that ``MultiHeadCore.mix`` replaces."""
-    *lead, length, channels = k.shape
-    n, dh = len(lead), channels // heads
-    swap = (*range(n), n + 1, n, n + 2)        # (..., L, heads, dh) ↔ (..., heads, L, dh)
-
-    def split(t):
-        return ops.permute(ops.reshape(t, (*t.shape[:-1], heads, dh)), swap)
-
-    keys = ops.permute(ops.reshape(k, (*lead, length, heads, dh)), (*range(n), n + 1, n + 2, n))
-    attn = ops.softmax(ops.scale(ops.matmul(split(q), keys), 1.0 / math.sqrt(dh)))
-    return ops.reshape(ops.permute(ops.matmul(attn, split(v)), swap), q.shape)
-
-
 class TestHeadLayout:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-    @pytest.mark.parametrize("lead, queries, length", [
-        pytest.param((2,), 7, 7, id="self-batched"),
-        pytest.param((), 7, 7, id="self-unbatched"),
-        pytest.param((2,), 20, 20, id="self-long-rows"),
-        pytest.param((2,), 1, 8, id="class"),
-    ])
-    def test_node_bit_equal_to_op_chain(self, rng, dtype, lead, queries, length):
-        # the one node against the reshape/permute/matmul/scale/softmax chain
-        # it replaced: the output and the q, k and v gradients byte for byte,
-        # and the same multiply-adds booked; rows of up to 16 scores take the
-        # column-wise row max and sum, longer ones numpy's reductions
-        layer = SelfAttention(np.random.default_rng(3), 12, 3, dtype=dtype)
-        q, k, v = (Tensor(rng.standard_normal((*lead, rows, 12)), dtype=dtype, requires_grad=True)
-                   for rows in (queries, length, length))
-        probe = Tensor(rng.standard_normal((*lead, queries, 12)), dtype=dtype)
-
-        def run(mix):
-            start = MADD_COUNTER.total
-            with Tape() as tape:
-                out = mix(q, k, v)
-                counted = MADD_COUNTER.total - start
-                loss = ops.sum_all(ops.mul(out, probe))
-            grads = backward(loss, tape)
-            return counted, [out.data, *(grads[t] for t in (q, k, v))]
-
-        counted, got = run(layer.mix)
-        want_counted, want = run(lambda *qkv: _op_chain_mix(*qkv, 3))
-        assert counted == want_counted == math.prod(lead) * 2 * queries * length * 12
-        for a, b in zip(got, want):
-            assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.dtype == dtype
-            assert a.tobytes() == b.tobytes()
-
     @pytest.mark.parametrize("q_shape, kv_shapes", [
         ((2, 7, 12), ((3, 7, 12), (3, 7, 12))),     # leading axes differ
         ((2, 7, 12), ((2, 7, 12), (2, 6, 12))),     # k and v differ
@@ -523,29 +311,6 @@ class TestHeadLayout:
         with Tape() as tape:
             layer.forward(x)
             assert len(tape) == 5
-
-    def test_no_node_keeps_the_scores(self, rng, retained_tool):
-        # the node keeps its head copies and the softmax's row max and sum;
-        # the (..., heads, Lq, Lk) softmax is rebuilt in backward, so no
-        # closure on the tape reaches an array of that shape, while the op
-        # chain's softmax and matmul closures do
-        walk = retained_tool.closure_arrays
-        heads, scores = 3, {(3, 7, 7), (3, 1, 8)}
-        sa = SelfAttention(np.random.default_rng(3), 12, heads)
-        ca = ClassAttentionBlock(np.random.default_rng(4), 12, heads)
-        x = Tensor(rng.standard_normal((2, 7, 12)), dtype=np.float32, requires_grad=True)
-        cls = Tensor(rng.standard_normal((2, 1, 12)), dtype=np.float32, requires_grad=True)
-
-        def held_shapes(forward):
-            with Tape() as tape:
-                forward()
-                return [a.shape[-3:] for _, _, fn in tape._nodes for a in walk(fn)]
-
-        held = held_shapes(lambda: (sa.forward(x), ca.forward(cls, x)))
-        assert (heads, 7, 4) in held and (heads, 1, 1) in held    # q heads, class row stats
-        assert not scores & set(held)
-        chain = held_shapes(lambda: _op_chain_mix(x, x, x, heads))
-        assert (heads, 7, 7) in chain
 
 
 class TestLocalAttentionMask:

@@ -1,8 +1,5 @@
 """Residual blocks, MLP sizing, stochastic depth, class attention."""
 
-import math
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -56,11 +53,6 @@ def state(rng):
     return rng.bit_generator.state
 
 
-def composed_mlp(mlp, x):
-    """The op chain the MLP node replaced: linear → gelu → linear."""
-    return ops.linear(ops.gelu(ops.linear(x, mlp.w1, mlp.b1)), mlp.w2, mlp.b2)
-
-
 class TestMlpSizing:
     def test_exact_ratios(self):
         assert mlp_hidden(192, 3.0) == 576
@@ -81,79 +73,6 @@ class TestMlpSizing:
             mlp_hidden(channels, 2.0)
         with pytest.raises(ShapeError):
             Mlp(np.random.default_rng(0), channels, 2.0)
-
-    def test_mlp_forward_matches_composition(self, rng):
-        # the one node against linear(gelu(linear(x))) in both dtypes, with
-        # 0, 1 and 2 leading axes and an empty batch: the output, the
-        # gradients of x (which also takes a residual path), w1, b1, w2 and
-        # b2, and the multiply-adds booked, byte for byte; random biases so
-        # both reach the output
-        for dtype in (np.float32, np.float64):
-            mlp = Mlp(np.random.default_rng(0), 8, 3.0, dtype=dtype)
-            for p in (mlp.b1, mlp.b2):
-                p.data[...] = rng.standard_normal(p.shape)
-            for shape in ((8,), (5, 8), (2, 5, 8), (2, 0, 8)):
-                x = Tensor(rng.standard_normal(shape), dtype=dtype, requires_grad=True)
-                probe = Tensor(rng.standard_normal(shape), dtype=dtype)
-
-                def run(forward):
-                    start = MADD_COUNTER.total
-                    with Tape() as tape:
-                        out = forward(x)
-                        counted = MADD_COUNTER.total - start
-                        loss = ops.sum_all(ops.mul(ops.add(x, out), probe))
-                    grads = backward(loss, tape)
-                    return counted, [out.data, *(grads[t] for t in (x, *mlp.parameters()))]
-
-                counted, got = run(mlp.forward)
-                want_counted, want = run(lambda x: composed_mlp(mlp, x))
-                assert counted == want_counted == math.prod(shape[:-1]) * 2 * 8 * 24
-                for a, b in zip(got, want):
-                    assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.dtype == dtype
-                    assert a.tobytes() == b.tobytes()
-
-    def test_mlp_node_keeps_its_input_and_pre_activation(self, rng, retained_tool):
-        # the node keeps x and the (..., hidden) pre-activation, not GELU's
-        # output or derivative; the composition keeps both of those
-        mlp = Mlp(np.random.default_rng(0), 8, 3.0)
-        x = Tensor(rng.standard_normal((2, 5, 8)), dtype=np.float32, requires_grad=True)
-        params = {id(retained_tool.base_of(p.data)) for p in mlp.parameters()}
-
-        def held(forward):
-            with Tape() as tape:
-                forward(x)
-            return [a for _, _, fn in tape._nodes for a in retained_tool.closure_arrays(fn)
-                    if id(retained_tool.base_of(a)) not in params]
-
-        node = held(mlp.forward)
-        assert len(node) == 2 and any(a is x.data for a in node)
-        assert sorted(a.shape for a in node) == [(2, 5, 8), (2, 5, 24)]
-        chain = held(lambda x: composed_mlp(mlp, x))
-        assert [a.shape for a in chain].count((2, 5, 24)) == 2
-
-    def test_untaped_mlp_peaks_no_higher_than_composition(self, rng):
-        # without a tape the node drops the pre-activation before fc2's
-        # product, as the composition does, so the two peaks hold the same
-        # arrays; they may differ by the Python objects each keeps meanwhile
-        # (the node's closure cells, the composition's Tensors), about 100
-        # bytes.  At ratio 1 every hidden array is 2 MiB and GELU's scratch
-        # 0.75 MiB, so the peak is GELU's pass (pre-activation, output,
-        # scratch), and a pre-activation kept through fc2's product would
-        # raise it by 1.25 MiB
-        mlp = Mlp(np.random.default_rng(0), 256, 1.0)
-        x = Tensor(rng.standard_normal((8, 256, 256)), dtype=np.float32)
-
-        def peak(forward):
-            forward(x)                  # first calls fill interpreter caches
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                forward(x)
-                return tracemalloc.get_traced_memory()[1] - start
-            finally:
-                tracemalloc.stop()
-
-        assert peak(mlp.forward) <= peak(lambda x: composed_mlp(mlp, x)) + 1024
 
     def test_mlp_rejects_misaligned_input(self):
         mlp = Mlp(np.random.default_rng(0), 8, 3.0)

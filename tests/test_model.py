@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,7 +194,7 @@ class TestStem:
         out = stem(Tensor(np.zeros((64, 64, 3), dtype=np.float32)))
         assert out.shape == (8, 8, 16)
 
-    def test_untaped_forward_drops_each_map_once_read(self, rng):
+    def test_untaped_forward_drops_each_map_once_read(self, rng, memory):
         # a LayerNorm holds its input, a centred copy and its output; nothing
         # else of the 112² maps may stay alive beside them
         config = PRESETS["d1"]
@@ -203,13 +202,9 @@ class TestStem:
         size = config.image_size
         x = Tensor(rng.standard_normal((1, size, size, 3)), dtype=np.float32)
         stem_map = (size // 2) ** 2 * 64 * 4
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
+        with memory() as mem:
             stem(x)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+            peak = mem.peak()
         assert peak < 3.2 * stem_map
 
 

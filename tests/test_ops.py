@@ -1,8 +1,8 @@
 """Forward semantics of the differentiable ops (gradients live in checks)."""
 
 import math
-import tracemalloc
 import warnings
+from contextlib import nullcontext
 
 import mpmath
 import numpy as np
@@ -250,40 +250,33 @@ class TestGeluBlocks:
         np.testing.assert_array_equal(out, d * _phi32(d))
 
     @staticmethod
-    def _peaks(d):
+    def _peaks(d, memory):
         """gelu's traced peak above its input, untaped and taped."""
         x = Tensor(d, requires_grad=True)
 
         def peak(taped):
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                if taped:
-                    with Tape():
-                        ops.gelu(x)
-                else:
+            with memory() as mem:
+                with Tape() if taped else nullcontext():
                     ops.gelu(x)
-                return tracemalloc.get_traced_memory()[1] - start
-            finally:
-                tracemalloc.stop()
+                return mem.peak()
 
         return peak(taped=False), peak(taped=True)
 
-    def test_peak_is_output_and_block_scratch(self, rng):
+    def test_peak_is_output_and_block_scratch(self, rng, memory):
         # the stem's first GELU map; the old whole-array form held whole-map
         # temporaries beside its output
         d = rng.standard_normal((1, 112, 112, 64)).astype(np.float32)
         scratch, slack = 3 * ops._GELU_BLOCK_BYTES, 16 * 1024
-        untaped, taped = self._peaks(d)
+        untaped, taped = self._peaks(d, memory)
         assert untaped <= d.nbytes + scratch + slack
         assert taped <= 2 * d.nbytes + scratch + slack
 
-    def test_float64_peak_is_output_and_block_scratch(self, rng):
+    def test_float64_peak_is_output_and_block_scratch(self, rng, memory):
         # the same map in float64: _erf64 adds a fourth float block and a
         # bool mask of one block's values (an eighth of a block's bytes)
         d = rng.standard_normal((1, 112, 112, 64))
         scratch, slack = 4 * ops._GELU_BLOCK_BYTES + ops._GELU_BLOCK_BYTES // 8, 16 * 1024
-        untaped, taped = self._peaks(d)
+        untaped, taped = self._peaks(d, memory)
         assert untaped <= d.nbytes + scratch + slack
         assert taped <= 2 * d.nbytes + scratch + slack
 

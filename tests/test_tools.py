@@ -1,4 +1,4 @@
-"""The scripts under tools/: the backward peak report of retained.py."""
+"""The scripts under tools/: the backward peak report of retained.py, fingerprints.py's steps."""
 
 import numpy as np
 
@@ -29,3 +29,10 @@ def test_backward_peaks_reads_every_node_once(rng, retained_tool):
     assert len(tape) == 0
     assert sorted((index, kind) for _, index, kind in peaks) == list(enumerate(kinds))
     assert "Mlp.forward" in kinds
+
+
+def test_step_grads_digest_is_repeatable(fingerprints_tool):
+    # one train_step of tiny at batch 2, twice, from the same seeds
+    first = fingerprints_tool.step_grads(PRESETS["tiny"], 2)
+    assert len(first) == 64 and set(first) <= set("0123456789abcdef")
+    assert fingerprints_tool.step_grads(PRESETS["tiny"], 2) == first

@@ -15,7 +15,7 @@ one machine, and diffing the output.  It prints one sorted JSON object:
 * ``d1_named_params``: the name, shape and values of every d1 parameter;
 * ``d1_analytic_madds``: ``analytic_madds(PRESETS["d1"], 224)``;
 * ``tiny_b8_grads`` and ``d1_b2_grads``: every parameter gradient of one
-  taped training step of tiny at batch 8 and of d1 at batch 2;
+  ``train.train_step`` of tiny at batch 8 and of d1 at batch 2;
 * ``tiny_lsa_b8_grads`` and ``tiny_conv_b8_grads``: the same tiny batch-8
   step with local self-attention (the one user of the tensor-level
   ``windows.unfold``) or convolution as the stage-1 mixer;
@@ -59,7 +59,7 @@ from outlooker import (  # noqa: E402
     build_model,
     ops,
 )
-from outlooker.train import cross_entropy, train_toy  # noqa: E402
+from outlooker.train import train_step, train_toy  # noqa: E402
 
 SEED = 0
 
@@ -81,15 +81,22 @@ def images(config, batch: int) -> tuple[Tensor, np.ndarray]:
     return data, rng.integers(0, config.num_classes, size=batch)
 
 
+class KeepGrads:
+    """A stand-in optimizer for ``train_step``: it keeps the gradients and moves nothing."""
+
+    step_count = 0
+
+    def step(self, grads) -> None:
+        self.grads = grads
+
+
 def step_grads(config, batch: int) -> str:
-    """Digest of every parameter gradient of one taped step with stochastic depth."""
+    """Digest of every parameter gradient of one ``train_step`` with stochastic depth."""
     model = build_model(config, seed=SEED)
     x, labels = images(model.config, batch)
-    with Tape() as tape:
-        logits = model.forward(x, training=True, rng=np.random.default_rng(SEED + 1))
-        loss = cross_entropy(logits, labels)
-    grads = backward(loss, tape)
-    return digest((name, grads[p]) for name, p in model.named_params())
+    opt = KeepGrads()
+    train_step(model, opt, x, labels, np.random.default_rng(SEED + 1))
+    return digest((name, opt.grads[p]) for name, p in model.named_params())
 
 
 def oa_layer() -> str:
