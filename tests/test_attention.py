@@ -1,10 +1,14 @@
 """Attention layers: shape contracts, identities, multi-head structure,
 cost model (analytic and instrumented)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from outlooker import (
+    MADD_COUNTER,
+    ClassAttentionBlock,
     Conv2d,
     CostQuery,
     LocalSelfAttention,
@@ -285,7 +289,54 @@ class TestStrideTwo:
         assert layer.forward(x).shape == (9, 8, 4)
 
 
+def _op_chain_mix(q, k, v, heads):
+    """Multi-head attention as the chain of public ops that ``MultiHeadCore.mix`` replaces."""
+    *lead, length, channels = k.shape
+    n, dh = len(lead), channels // heads
+    swap = (*range(n), n + 1, n, n + 2)        # (..., L, heads, dh) ↔ (..., heads, L, dh)
+
+    def split(t):
+        return ops.permute(ops.reshape(t, (*t.shape[:-1], heads, dh)), swap)
+
+    keys = ops.permute(ops.reshape(k, (*lead, length, heads, dh)), (*range(n), n + 1, n + 2, n))
+    attn = ops.softmax(ops.scale(ops.matmul(split(q), keys), 1.0 / math.sqrt(dh)))
+    return ops.reshape(ops.permute(ops.matmul(attn, split(v)), swap), q.shape)
+
+
 class TestHeadLayout:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("lead, queries, length", [
+        pytest.param((2,), 7, 7, id="self-batched"),
+        pytest.param((), 7, 7, id="self-unbatched"),
+        pytest.param((2,), 20, 20, id="self-long-rows"),
+        pytest.param((2,), 1, 8, id="class"),
+    ])
+    def test_node_bit_equal_to_op_chain(self, rng, dtype, lead, queries, length):
+        # the one node against the reshape/permute/matmul/scale/softmax chain
+        # it replaced: the output and the q, k and v gradients byte for byte,
+        # and the same multiply-adds booked; rows of up to 16 scores take the
+        # column-wise row max and sum, longer ones numpy's reductions
+        layer = SelfAttention(np.random.default_rng(3), 12, 3, dtype=dtype)
+        q, k, v = (Tensor(rng.standard_normal((*lead, rows, 12)), dtype=dtype, requires_grad=True)
+                   for rows in (queries, length, length))
+        probe = Tensor(rng.standard_normal((*lead, queries, 12)), dtype=dtype)
+
+        def run(mix):
+            start = MADD_COUNTER.total
+            with Tape() as tape:
+                out = mix(q, k, v)
+                counted = MADD_COUNTER.total - start
+                loss = ops.sum_all(ops.mul(out, probe))
+            grads = backward(loss, tape)
+            return counted, [out.data, *(grads[t] for t in (q, k, v))]
+
+        counted, got = run(layer.mix)
+        want_counted, want = run(lambda *qkv: _op_chain_mix(*qkv, 3))
+        assert counted == want_counted == math.prod(lead) * 2 * queries * length * 12
+        for a, b in zip(got, want):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.dtype == dtype
+            assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("q_shape, kv_shapes", [
         ((2, 7, 12), ((3, 7, 12), (3, 7, 12))),     # leading axes differ
         ((2, 7, 12), ((2, 7, 12), (2, 6, 12))),     # k and v differ
@@ -311,6 +362,29 @@ class TestHeadLayout:
         with Tape() as tape:
             layer.forward(x)
             assert len(tape) == 5
+
+    def test_no_node_keeps_the_scores(self, rng, retained_tool):
+        # the node keeps its head copies and the softmax's row max and sum;
+        # the (..., heads, Lq, Lk) softmax is rebuilt in backward, so no
+        # closure on the tape reaches an array of that shape, while the op
+        # chain's softmax and matmul closures do
+        walk = retained_tool.closure_arrays
+        heads, scores = 3, {(3, 7, 7), (3, 1, 8)}
+        sa = SelfAttention(np.random.default_rng(3), 12, heads)
+        ca = ClassAttentionBlock(np.random.default_rng(4), 12, heads)
+        x = Tensor(rng.standard_normal((2, 7, 12)), dtype=np.float32, requires_grad=True)
+        cls = Tensor(rng.standard_normal((2, 1, 12)), dtype=np.float32, requires_grad=True)
+
+        def held_shapes(forward):
+            with Tape() as tape:
+                forward()
+                return [a.shape[-3:] for _, _, fn in tape._nodes for a in walk(fn)]
+
+        held = held_shapes(lambda: (sa.forward(x), ca.forward(cls, x)))
+        assert (heads, 7, 4) in held and (heads, 1, 1) in held    # q heads, class row stats
+        assert not scores & set(held)
+        chain = held_shapes(lambda: _op_chain_mix(x, x, x, heads))
+        assert (heads, 7, 7) in chain
 
 
 class TestLocalAttentionMask:
